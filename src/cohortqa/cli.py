@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from collections import defaultdict
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -19,10 +19,11 @@ from .evaluation import (
     aggregate,
     apply_criterion,
     rejection_stats,
-    run_cohort,
-    self_consistency,
+    run_cohorts,
+    vote,
 )
 from .retriever import (
+    OUTCOME_ERROR,
     FactTable,
     MockRetriever,
     RemoteRetriever,
@@ -66,7 +67,7 @@ def _add_limit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-list-len", type=int, default=1024)
 
 
-def _make_retriever(args, parser: argparse.ArgumentParser):
+def _make_retriever(args, parser: argparse.ArgumentParser, max_in_flight: int = 1):
     if args.retriever == "mock":
         if not args.facts:
             parser.error("--retriever mock requires --facts")
@@ -79,16 +80,20 @@ def _make_retriever(args, parser: argparse.ArgumentParser):
         temperature=args.temperature,
         timeout_s=args.timeout_ms / 1000.0,
         max_retries=args.max_retries,
+        max_in_flight=max_in_flight,
     )
     return RemoteRetriever(config)
 
 
-def _make_limits(args) -> ExecutionLimits:
-    return ExecutionLimits(
-        max_retrieve_calls=args.max_retrieve_calls,
-        max_steps=args.max_steps,
-        max_list_len=args.max_list_len,
-    )
+def _make_limits(args, parser: argparse.ArgumentParser) -> ExecutionLimits:
+    try:
+        return ExecutionLimits(
+            max_retrieve_calls=args.max_retrieve_calls,
+            max_steps=args.max_steps,
+            max_list_len=args.max_list_len,
+        )
+    except ValueError as exc:
+        parser.error(f"--max-retrieve-calls, --max-steps, --max-list-len: {exc}")
 
 
 def _retriever_config_json(args) -> dict:
@@ -193,7 +198,9 @@ def cmd_exec(args, parser) -> int:
         print(f"exec: parse error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     retriever = _make_retriever(args, parser)
-    result = execute(program, cohort.members[args.member].bindings, retriever, _make_limits(args))
+    result = execute(
+        program, cohort.members[args.member].bindings, retriever, _make_limits(args, parser)
+    )
     for event in result.trace:
         print(_dump(event.to_json()))
     print(_dump({
@@ -204,52 +211,76 @@ def cmd_exec(args, parser) -> int:
         "was_rejected": result.was_rejected,
         "dynamic_retrieve_count": result.dynamic_retrieve_count,
     }))
-    if any(event.outcome == "error" for event in result.trace):
+    if any(event.outcome == OUTCOME_ERROR for event in result.trace):
         return EXIT_BACKEND
     return EXIT_OK
 
 
+class _BatchError(Exception):
+    """A program batch names an unknown cohort or holds an unparsable program."""
+
+
 def cmd_eval(args, parser) -> int:
+    if args.k < 1:
+        parser.error("--k must be >= 1")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    limits = _make_limits(args, parser)
     cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
     records = _load_program_batch(args.programs)
-    retriever = _make_retriever(args, parser)
-    limits = _make_limits(args)
+    retriever = _make_retriever(args, parser, max_in_flight=args.jobs)
+    # the mock is GIL-bound: threads would only add overhead
+    jobs = 1 if args.retriever == "mock" else args.jobs
     criterion = EvalCriterion(args.criterion)
 
     by_cohort: dict[str, list[dict]] = defaultdict(list)
     for record in records:
         by_cohort[record["cohort_id"]].append(record)
+    groups = [
+        (cohort_id, sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[: args.k])
+        for cohort_id in sorted(by_cohort)
+    ]
+
+    def pairs():
+        for cohort_id, group in groups:
+            cohort = cohorts.get(cohort_id)
+            if cohort is None:
+                raise _BatchError(f"unknown cohort {cohort_id!r}")
+            for record in group:
+                try:
+                    program = parse_program(record["source"], cohort.template.function_header)
+                except ParseError as exc:
+                    raise _BatchError(f"parse error in {cohort_id}: {exc}") from exc
+                yield program, cohort
 
     rows = []
     outcome_pairs = []
-    for cohort_id in sorted(by_cohort):
-        cohort = cohorts.get(cohort_id)
-        if cohort is None:
-            print(f"eval: unknown cohort {cohort_id!r}", file=sys.stderr)
-            return EXIT_FAILURE
-        group = sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[: args.k]
-        try:
-            programs = [
-                parse_program(r["source"], cohort.template.function_header) for r in group
-            ]
-        except ParseError as exc:
-            print(f"eval: parse error in {cohort_id}: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-        if len(programs) == 1:
-            outcome = run_cohort(programs[0], cohort, retriever, limits, jobs=args.jobs)
-        else:
-            outcome = self_consistency(programs, cohort, retriever, limits, jobs=args.jobs)
-        passed = apply_criterion(outcome, criterion)
-        outcome_pairs.append((cohort.template.domain_tag, passed))
-        rows.append({
-            "cohort_id": cohort_id,
-            "domain": cohort.template.domain_tag,
-            "k": len(programs),
-            "n_correct": outcome.n_correct,
-            "n_rejected": outcome.n_rejected,
-            "n_calls": outcome.summary.n_calls,
-            "passed": passed,
-        })
+    outcomes = run_cohorts(pairs(), retriever, limits, jobs)
+    try:
+        for cohort_id, group in groups:
+            samples = list(islice(outcomes, len(group)))
+            cohort = cohorts[cohort_id]
+            outcome = vote(samples, cohort)
+            passed = apply_criterion(outcome, criterion)
+            outcome_pairs.append((cohort.template.domain_tag, passed))
+            rows.append({
+                "cohort_id": cohort_id,
+                "domain": cohort.template.domain_tag,
+                "k": len(samples),
+                "n_correct": outcome.n_correct,
+                "n_rejected": outcome.n_rejected,
+                "n_calls": outcome.summary.n_calls,
+                "passed": passed,
+                "backend_errors": sum(
+                    event.outcome == OUTCOME_ERROR
+                    for sample in samples
+                    for trace in sample.traces
+                    for event in trace
+                ),
+            })
+    except _BatchError as exc:
+        print(f"eval: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if not rows:
         print("eval: no programs to evaluate", file=sys.stderr)
         return EXIT_FAILURE
@@ -273,6 +304,10 @@ def cmd_eval(args, parser) -> int:
     if args.output:
         Path(args.output).write_text(_dump(report) + "\n", encoding="utf-8")
     print(_format_accuracy_table(accuracy, args.criterion))
+    if any(row["backend_errors"] for row in rows):
+        print("eval: the retriever backend failed; see backend_errors in the report",
+              file=sys.stderr)
+        return EXIT_BACKEND
     return EXIT_OK
 
 
@@ -323,6 +358,8 @@ def cmd_reward(args, parser) -> int:
 
 
 def cmd_sim(args, parser) -> int:
+    if args.rollouts < 2:
+        parser.error("--rollouts must be >= 2: group advantages need at least 2 rollouts")
     cohorts = load_cohorts(args.cohorts)
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
     pool = []
@@ -458,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=["strict", "lenient"], default="lenient")
     p.add_argument("--k", type=int, default=1, help="samples per cohort for self-consistency")
     p.add_argument("--output", help="write the JSON report here")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--jobs", type=int, default=8,
+        help="member executions in flight against a remote retriever; the mock runs serially",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-timestamp", action="store_true")
     _add_retriever_args(p)

@@ -4,10 +4,10 @@ self-consistency aggregation, and accuracy/rejection statistics."""
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .data_model import CohortInstance
 from .dsl import Program
@@ -82,6 +82,76 @@ def _check_signature(program: Program, cohort: CohortInstance) -> None:
         )
 
 
+def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:
+    members = tuple(
+        MemberOutcome.from_result(result, member.gold_index)
+        for result, member in zip(results, cohort.members)
+    )
+    summary = CohortExecutionSummary(
+        n_correct=sum(m.correct for m in members),
+        n_calls=results[0].dynamic_retrieve_count,
+        n_rejected=sum(m.rejected for m in members),
+    )
+    return CohortOutcome(
+        cohort_id=cohort.cohort_id,
+        members=members,
+        summary=summary,
+        traces=tuple(r.trace for r in results),
+    )
+
+
+def run_cohorts(
+    pairs: Iterable[tuple[Program, CohortInstance]],
+    retriever,
+    limits: ExecutionLimits = ExecutionLimits(),
+    jobs: int = 1,
+) -> Iterator[CohortOutcome]:
+    """Execute each program independently on all 6 members of its cohort.
+
+    Yields one outcome per (program, cohort) pair, in input order. At
+    jobs <= 1 everything runs serially in the caller's thread. Otherwise
+    member executions go to one pool of `jobs` threads for the whole run:
+    pairs are drawn lazily, keeping about 2 * jobs member executions
+    submitted ahead of the consumer, so outcomes stream instead of piling up.
+    Fan out only for I/O-bound retrievers; CPU-bound ones gain nothing under
+    the GIL.
+
+    n_calls in each summary is the dynamic retrieve count on the original
+    member; each member queries the retriever independently.
+    """
+    if jobs <= 1:
+        for program, cohort in pairs:
+            _check_signature(program, cohort)
+            yield _outcome(cohort, [
+                execute(program, m.bindings, retriever, limits) for m in cohort.members
+            ])
+        return
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    ahead: deque = deque()  # (cohort, member futures), oldest first
+    source = iter(pairs)
+
+    def top_up() -> None:
+        while sum(len(futures) for _, futures in ahead) < 2 * jobs:
+            pair = next(source, None)
+            if pair is None:
+                return
+            program, cohort = pair
+            _check_signature(program, cohort)
+            ahead.append((cohort, [
+                pool.submit(execute, program, m.bindings, retriever, limits)
+                for m in cohort.members
+            ]))
+
+    try:
+        top_up()
+        while ahead:
+            cohort, futures = ahead.popleft()
+            top_up()  # queue the next pairs before waiting on this one
+            yield _outcome(cohort, [f.result() for f in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_cohort(
     program: Program,
     cohort: CohortInstance,
@@ -89,43 +159,49 @@ def run_cohort(
     limits: ExecutionLimits = ExecutionLimits(),
     jobs: int = 1,
 ) -> CohortOutcome:
-    """Execute the program independently on all 6 members.
-
-    n_calls in the summary is the dynamic retrieve count on the original
-    member; each member queries the retriever independently.
-    """
-    _check_signature(program, cohort)
-    members = cohort.members
-
-    def run_member(member) -> ExecutionResult:
-        return execute(program, member.bindings, retriever, limits)
-
-    fan_out = jobs > 1 and getattr(retriever, "concurrent_safe", False)
-    if fan_out:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(members))) as pool:
-            results = list(pool.map(run_member, members))
-    else:
-        results = [run_member(m) for m in members]
-
-    outcomes = tuple(
-        MemberOutcome.from_result(result, member.gold_index)
-        for result, member in zip(results, members)
-    )
-    summary = CohortExecutionSummary(
-        n_correct=sum(m.correct for m in outcomes),
-        n_calls=results[0].dynamic_retrieve_count,
-        n_rejected=sum(m.rejected for m in outcomes),
-    )
-    return CohortOutcome(
-        cohort_id=cohort.cohort_id,
-        members=outcomes,
-        summary=summary,
-        traces=tuple(r.trace for r in results),
-    )
+    """Execute the program on all 6 members: run_cohorts over one pair."""
+    return next(run_cohorts([(program, cohort)], retriever, limits, jobs))
 
 
 def apply_criterion(outcome: CohortOutcome, criterion: EvalCriterion) -> bool:
     return outcome.n_correct >= criterion.threshold
+
+
+def vote(samples: Sequence[CohortOutcome], cohort: CohortInstance) -> CohortOutcome:
+    """Majority vote per member over the outcomes of k sampled programs.
+
+    Failures are excluded from voting; a tie or all-failures member counts
+    as incorrect. A member is rejected if any sample's execution on it was
+    rejected, and the consensus n_rejected counts those members, so it
+    always equals sum(m.rejected for m in members). n_calls (and each
+    member's dynamic_calls) take the max over samples.
+    """
+    if not samples:
+        raise ValueError("need at least one program")
+    members = []
+    for index, member in enumerate(cohort.members):
+        votes = Counter(
+            s.members[index].answered_index
+            for s in samples
+            if s.members[index].answered_index is not None
+        )
+        consensus = _majority(votes)
+        members.append(
+            MemberOutcome(
+                answered_index=consensus,
+                correct=consensus is not None and consensus == member.gold_index,
+                rejected=any(s.members[index].rejected for s in samples),
+                dynamic_calls=max(s.members[index].dynamic_calls for s in samples),
+                status="consensus",
+            )
+        )
+    members = tuple(members)
+    summary = CohortExecutionSummary(
+        n_correct=sum(m.correct for m in members),
+        n_calls=max(s.summary.n_calls for s in samples),
+        n_rejected=sum(m.rejected for m in members),
+    )
+    return CohortOutcome(cohort_id=cohort.cohort_id, members=members, summary=summary)
 
 
 def self_consistency(
@@ -135,40 +211,9 @@ def self_consistency(
     limits: ExecutionLimits = ExecutionLimits(),
     jobs: int = 1,
 ) -> CohortOutcome:
-    """Majority vote per member over k sampled programs.
-
-    Failures are excluded from voting; a tie or all-failures member counts
-    as incorrect. The consensus n_rejected (and n_calls) take the max over
-    samples, the conservative reading.
-    """
-    if not programs:
-        raise ValueError("need at least one program")
-    sample_outcomes = [run_cohort(p, cohort, retriever, limits, jobs=jobs) for p in programs]
-
-    members = []
-    for index, member in enumerate(cohort.members):
-        votes = Counter(
-            s.members[index].answered_index
-            for s in sample_outcomes
-            if s.members[index].answered_index is not None
-        )
-        consensus = _majority(votes)
-        members.append(
-            MemberOutcome(
-                answered_index=consensus,
-                correct=consensus is not None and consensus == member.gold_index,
-                rejected=any(s.members[index].rejected for s in sample_outcomes),
-                dynamic_calls=max(s.members[index].dynamic_calls for s in sample_outcomes),
-                status="consensus",
-            )
-        )
-    members = tuple(members)
-    summary = CohortExecutionSummary(
-        n_correct=sum(m.correct for m in members),
-        n_calls=max(s.summary.n_calls for s in sample_outcomes),
-        n_rejected=max(s.summary.n_rejected for s in sample_outcomes),
-    )
-    return CohortOutcome(cohort_id=cohort.cohort_id, members=members, summary=summary)
+    """Run k sampled programs on the cohort, then `vote` over them."""
+    pairs = [(program, cohort) for program in programs]
+    return vote(list(run_cohorts(pairs, retriever, limits, jobs)), cohort)
 
 
 def _majority(votes: Counter) -> Optional[int]:

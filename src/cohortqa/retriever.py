@@ -7,13 +7,13 @@ from __future__ import annotations
 import json
 import re
 import string
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .dsl import ValueKind
 
@@ -51,9 +51,6 @@ class RetrieveResponse:
 
 
 class Retriever(Protocol):
-    #: whether one instance may serve concurrent executions
-    concurrent_safe: bool
-
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse: ...
 
 
@@ -166,8 +163,6 @@ class MockRetriever:
     Both complex questions and simple-but-unknown ones are rejected; an honest
     offline oracle cannot answer facts it does not hold.
     """
-
-    concurrent_safe = True
 
     def __init__(self, table: FactTable):
         self.table = table
@@ -342,14 +337,22 @@ class RemoteRetrieverConfig:
 
 
 class RemoteRetriever:
-    """JSON-over-HTTP chat-completion client with retry/backoff."""
+    """JSON-over-HTTP chat-completion client with retry/backoff.
 
-    concurrent_safe = True
+    Safe to share between threads. It bounds nothing itself: callers bound
+    concurrency (`run_cohorts` by its pool size), and `max_in_flight` sizes
+    the default session's connection pool to match, so every thread keeps
+    its kept-alive connection.
+    """
 
     def __init__(self, config: RemoteRetrieverConfig, session: requests.Session | None = None):
         self.config = config
-        self._session = session or requests.Session()
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
 
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse:
         if not request.question:
@@ -364,10 +367,9 @@ class RemoteRetriever:
             if attempt:
                 time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
             try:
-                with self._gate:
-                    resp = self._session.post(
-                        self.config.endpoint, json=payload, timeout=self.config.timeout_s
-                    )
+                resp = self._session.post(
+                    self.config.endpoint, json=payload, timeout=self.config.timeout_s
+                )
             except requests.RequestException as exc:
                 last_reason = f"transport failure: {exc}"
                 continue

@@ -85,8 +85,12 @@ def cohort_reward(summary: CohortExecutionSummary, variant: str = VARIANT_NORMAL
     r_acc = accuracy_reward(summary.n_correct, variant)
     r_ret = retrieval_reward(summary.n_calls)
     r_rej = rejection_penalty(summary.n_rejected)
+    # rounded so that equal rewards compare equal: the components are
+    # multiples of 0.1, and a raw float sum of them may be off by ~1e-16,
+    # which group_advantages would blow up into non-zero advantages
     return RewardBreakdown(
-        r_acc=r_acc, r_ret=r_ret, r_rej=r_rej, total=r_acc + r_ret + r_rej, variant=variant
+        r_acc=r_acc, r_ret=r_ret, r_rej=r_rej,
+        total=round(r_acc + r_ret + r_rej, 10), variant=variant,
     )
 
 

@@ -216,3 +216,21 @@ def test_report_renders_eval_json(tmp_path, capsys):
     assert code == 0
     assert "hotpotqa" in out
     assert "overall" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--jobs", "0"],
+    ["eval", "--k", "0"],
+    ["eval", "--max-steps", "0"],
+    ["sim", "--rollouts", "1"],
+])
+def test_bad_counts_are_usage_errors(argv, capsys):
+    inputs = ["--cohorts", f"{FIX}/cohorts.jsonl", "--facts", f"{FIX}/facts.jsonl"]
+    if argv[0] == "eval":
+        inputs += ["--programs", f"{FIX}/programs/conjunction_batch.jsonl"]
+    else:
+        inputs += ["--pool", f"{FIX}/pool.jsonl"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + inputs)
+    assert excinfo.value.code == 2
+    assert argv[1] in capsys.readouterr().err

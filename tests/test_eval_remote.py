@@ -1,0 +1,145 @@
+"""`cohortqa eval --retriever remote` against a chat-completion stub on
+127.0.0.1 that answers from the fixture facts and counts requests in flight."""
+
+import json
+import re
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from cohortqa.cli import main
+from cohortqa.retriever import FactTable
+
+FIX = "fixtures"
+_LAST_TURN = re.compile(r"^(.*) \((\w+)\)$", re.DOTALL)
+
+
+class StubBackend:
+    """Few-shot lookup protocol: the fact in a ```json block, else "idk"."""
+
+    def __init__(self, latency_s: float = 0.002):
+        facts = FactTable.from_jsonl(f"{FIX}/facts.jsonl")
+        self.lock = threading.Lock()
+        self.requests = 0
+        self.in_flight = 0
+        self.max_in_flight = 0
+        backend = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # headers and body go out in two writes; Nagle would hold the
+            # body for the client's delayed ACK on a kept-alive socket
+            disable_nagle_algorithm = True
+
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                with backend.lock:
+                    backend.requests += 1
+                    backend.in_flight += 1
+                    backend.max_in_flight = max(backend.max_in_flight, backend.in_flight)
+                try:
+                    payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                    question, kind = _LAST_TURN.match(payload["messages"][-1]["content"]).groups()
+                    entry = facts.lookup(question)
+                    answer = entry.value if entry and entry.kind.value == kind else "idk"
+                    content = "```json\n" + json.dumps({"answer": answer}) + "\n```"
+                    time.sleep(latency_s)
+                    body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+                finally:
+                    with backend.lock:
+                        backend.in_flight -= 1
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.endpoint = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat/completions"
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    def reset(self) -> None:
+        with self.lock:
+            self.requests = self.in_flight = self.max_in_flight = 0
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def backend(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    stub = StubBackend()
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def batch(tmp_path):
+    """Ten copies of the fixture cohort, each with a conjunction and a shortcut sample."""
+    cohort = json.loads(open(f"{FIX}/cohorts.jsonl").read())
+    samples = [
+        json.loads(open(f"{FIX}/programs/{name}_batch.jsonl").read())["source"]
+        for name in ("conjunction", "shortcut")
+    ]
+    cohorts, programs = tmp_path / "cohorts.jsonl", tmp_path / "programs.jsonl"
+    with open(cohorts, "w") as c_out, open(programs, "w") as p_out:
+        for i in range(10):
+            cohort_id = f"film-{i:02d}"
+            print(json.dumps(dict(cohort, cohort_id=cohort_id)), file=c_out)
+            for index, source in enumerate(samples):
+                record = {"cohort_id": cohort_id, "sample_index": index, "source": source}
+                print(json.dumps(record), file=p_out)
+    return cohorts, programs
+
+
+def test_eval_remote_pool_matches_serial(backend, batch, tmp_path, capsys):
+    cohorts, programs = batch
+    runs = {}
+    for jobs in (1, 8):
+        backend.reset()
+        report = tmp_path / f"report-{jobs}.json"
+        code = main([
+            "eval", "--cohorts", str(cohorts), "--programs", str(programs), "--k", "2",
+            "--retriever", "remote", "--endpoint", backend.endpoint,
+            "--jobs", str(jobs), "--no-timestamp", "--output", str(report),
+        ])
+        assert code == 0
+        runs[jobs] = capsys.readouterr().out, report.read_bytes(), backend.max_in_flight
+        assert backend.requests == 10 * 6 * 2  # the conjunction's two lookups per member
+    assert runs[1][:2] == runs[8][:2]
+    assert runs[1][2] == 1
+    assert 1 < runs[8][2] <= 8
+    # the stub answers from the same facts as the mock, so the rows agree
+    mock_report = tmp_path / "report-mock.json"
+    assert main([
+        "eval", "--cohorts", str(cohorts), "--programs", str(programs), "--k", "2",
+        "--facts", f"{FIX}/facts.jsonl", "--no-timestamp", "--output", str(mock_report),
+    ]) == 0
+    rows = json.loads(runs[8][1])["cohorts"]
+    assert rows == json.loads(mock_report.read_text())["cohorts"]
+    assert all(row["backend_errors"] == 0 for row in rows)
+
+
+def test_eval_unreachable_backend_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    report = tmp_path / "report.json"
+    code = main([
+        "eval", "--cohorts", f"{FIX}/cohorts.jsonl",
+        "--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+        "--retriever", "remote", "--endpoint", "http://127.0.0.1:9/v1",
+        "--max-retries", "0", "--no-timestamp", "--output", str(report),
+    ])
+    assert code == 3
+    assert "backend" in capsys.readouterr().err
+    (row,) = json.loads(report.read_text())["cohorts"]
+    assert row["backend_errors"] >= 1

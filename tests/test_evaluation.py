@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import pytest
 
 from cohortqa.data_model import (
@@ -17,6 +21,7 @@ from cohortqa.evaluation import (
     apply_criterion,
     rejection_stats,
     run_cohort,
+    run_cohorts,
     self_consistency,
     wald_halfwidth,
 )
@@ -111,6 +116,62 @@ def test_run_cohort_parallel_matches_serial():
     assert serial.summary == parallel.summary
 
 
+class _SlowRetriever:
+    """Answers like `inner` after a short, question-dependent sleep, so pool
+    workers finish out of order; records the peak number of calls in flight."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def retrieve(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(0.001 * (len(request.question) % 3))
+            return self.inner.retrieve(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_run_cohorts_pool_matches_serial_in_input_order():
+    programs = [LOOKUP, ALWAYS_YES, ALWAYS_FAILS, LOOKUP, ALWAYS_NO] * 3
+    pairs = [(program, _cohort()) for program in programs]
+    serial = list(run_cohorts(pairs, _retr(missing=("Hera",)), jobs=1))
+    slow = _SlowRetriever(_retr(missing=("Hera",)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches, more interleavings
+    try:
+        pooled = list(run_cohorts(pairs, slow, jobs=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.members for o in pooled] == [o.members for o in serial]
+    assert [o.summary for o in pooled] == [o.summary for o in serial]
+    assert [o.traces for o in pooled] == [o.traces for o in serial]
+    assert 1 < slow.max_in_flight <= 3
+
+
+def test_run_cohorts_draws_pairs_lazily():
+    drawn = []
+
+    def pairs():
+        for index in range(1000):
+            drawn.append(index)
+            yield LOOKUP, _cohort()
+
+    for jobs in (1, 2, 8):
+        drawn.clear()
+        outcomes = run_cohorts(pairs(), _SlowRetriever(_retr()), jobs=jobs)
+        assert next(outcomes).n_correct == 6
+        # about 2 * jobs member executions (6 per pair) are queued ahead
+        assert len(drawn) <= 2 * jobs // 6 + 2
+        outcomes.close()
+
+
 # --- criteria -------------------------------------------------------------
 
 def test_criterion_truth_table():
@@ -159,6 +220,21 @@ def test_self_consistency_rejection_is_any_sample():
     rejected_members = [m.rejected for m in outcome.members]
     assert rejected_members == [False, False, True, False, False, False]
     assert outcome.n_rejected == 1
+
+
+def test_self_consistency_rejections_count_members():
+    # one sample rejects Hera, the other Zeus: two members were rejected,
+    # though no single sample rejected more than one
+    entries = {}
+    for entity, real in zip(ENTITIES, REALITY):
+        if entity != "Hera":
+            entries[normalize_question(f"Is {entity} real?")] = FactEntry(ValueKind.BOOL, real)
+        if entity != "Zeus":
+            entries[normalize_question(f"Was {entity} real?")] = FactEntry(ValueKind.BOOL, real)
+    was = _prog('real = retrieve(f"Was {X} real?", bool)\nif real:\n    return 1\nreturn 0')
+    outcome = self_consistency([LOOKUP, was], _cohort(), MockRetriever(FactTable(entries)))
+    assert [m.rejected for m in outcome.members] == [False, True, True, False, False, False]
+    assert outcome.n_rejected == 2 == sum(m.rejected for m in outcome.members)
 
 
 def test_self_consistency_requires_programs():

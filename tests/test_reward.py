@@ -97,6 +97,16 @@ def test_advantages_match_definition():
     assert got.rewards == tuple(rewards)
 
 
+def test_equal_rewards_from_different_components_give_zero_advantages():
+    # constant-Yes at 4/6: 0.8 - 0.6; over-decomposed lookup at 4/6 with six
+    # rejections of its one lookup: 0.8 + 0 - 0.6. Raw float sums differ by ~1e-16.
+    constant_yes = cohort_reward(CohortExecutionSummary(4, 0, 0), VARIANT_COHORT)
+    over_decomposed = cohort_reward(CohortExecutionSummary(4, 1, 6), VARIANT_COHORT)
+    assert constant_yes.total == over_decomposed.total
+    got = group_advantages([constant_yes.total, over_decomposed.total])
+    assert got.advantages == (0.0, 0.0)
+
+
 def test_zero_variance_group_is_all_zero():
     got = group_advantages([0.7] * 5)
     assert got.advantages == (0.0,) * 5

@@ -32,8 +32,6 @@ def table(facts: dict) -> MockRetriever:
 
 
 class ErrorRetriever:
-    concurrent_safe = True
-
     def retrieve(self, request):
         return RetrieveResponse.error("backend down")
 
