@@ -6,7 +6,8 @@ advantages, evaluates strict/lenient consistency, and ships a toy policy
 simulator showing the cohort reward suppressing shortcut programs.
 """
 
-from . import data_model, dsl, evaluation, retriever, reward, runtime, sim
+# no `sim` here: it loads numpy, which only `cohortqa sim` needs
+from . import data_model, dsl, evaluation, retriever, reward, runtime
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .data_model import SchemaError, load_cohorts, validate_cohort
-from .dsl import ParseError, check_program, parse_program
+from .dsl import ParseError, Program, check_program, parse_program
 from .evaluation import (
     EvalCriterion,
     aggregate,
@@ -32,7 +32,6 @@ from .retriever import (
 )
 from .reward import CohortExecutionSummary, cohort_reward
 from .runtime import ExecutionLimits, execute
-from .sim import ToyTrainConfig, run_toy_training
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -246,23 +245,24 @@ def cmd_eval(args, parser) -> int:
             cohort = cohorts.get(cohort_id)
             if cohort is None:
                 raise _BatchError(f"unknown cohort {cohort_id!r}")
+            # duplicate samples share one parse; a Program is immutable
+            parsed: dict[str, Program] = {}
             for record in group:
-                try:
-                    program = parse_program(record["source"], cohort.template.function_header)
-                except ParseError as exc:
-                    raise _BatchError(f"parse error in {cohort_id}: {exc}") from exc
-                yield program, cohort
+                source = record["source"]
+                if source not in parsed:
+                    try:
+                        parsed[source] = parse_program(source, cohort.template.function_header)
+                    except ParseError as exc:
+                        raise _BatchError(f"parse error in {cohort_id}: {exc}") from exc
+                yield parsed[source], cohort
 
     rows = []
-    outcome_pairs = []
     outcomes = run_cohorts(pairs(), retriever, limits, jobs)
     try:
         for cohort_id, group in groups:
             samples = list(islice(outcomes, len(group)))
             cohort = cohorts[cohort_id]
             outcome = vote(samples, cohort)
-            passed = apply_criterion(outcome, criterion)
-            outcome_pairs.append((cohort.template.domain_tag, passed))
             rows.append({
                 "cohort_id": cohort_id,
                 "domain": cohort.template.domain_tag,
@@ -270,7 +270,7 @@ def cmd_eval(args, parser) -> int:
                 "n_correct": outcome.n_correct,
                 "n_rejected": outcome.n_rejected,
                 "n_calls": outcome.summary.n_calls,
-                "passed": passed,
+                "passed": apply_criterion(outcome, criterion),
                 "backend_errors": sum(
                     event.outcome == OUTCOME_ERROR
                     for sample in samples
@@ -285,7 +285,9 @@ def cmd_eval(args, parser) -> int:
         print("eval: no programs to evaluate", file=sys.stderr)
         return EXIT_FAILURE
 
-    accuracy = aggregate(outcome_pairs)
+    # a cohort whose lookups failed says nothing about the programs
+    scored = [(row["domain"], row["passed"]) for row in rows if not row["backend_errors"]]
+    accuracy = aggregate(scored).to_json() if scored else None
     report = _base_report(args)
     report.update(
         config={
@@ -299,11 +301,14 @@ def cmd_eval(args, parser) -> int:
             },
         },
         cohorts=rows,
-        accuracy=accuracy.to_json(),
+        accuracy=accuracy,
     )
     if args.output:
         Path(args.output).write_text(_dump(report) + "\n", encoding="utf-8")
-    print(_format_accuracy_table(accuracy, args.criterion))
+    if accuracy is None:
+        print("eval: no accuracy: every cohort had a backend error", file=sys.stderr)
+    else:
+        print(_accuracy_table(accuracy, args.criterion))
     if any(row["backend_errors"] for row in rows):
         print("eval: the retriever backend failed; see backend_errors in the report",
               file=sys.stderr)
@@ -311,20 +316,23 @@ def cmd_eval(args, parser) -> int:
     return EXIT_OK
 
 
-def _format_accuracy_table(accuracy, criterion: str) -> str:
-    lines = [f"{criterion.capitalize()} accuracy (%)"]
-    lines.append(f"{'Domain':<16}{'Accuracy':>10}{'±':>8}{'N':>7}")
-    data = accuracy.to_json()
-    for domain, stats in data["per_domain"].items():
+def _accuracy_table(accuracy: dict, criterion: str) -> str:
+    """Render the JSON form of an `AccuracyReport`."""
+    lines = [f"{criterion.capitalize()} accuracy (%)",
+             f"{'Domain':<16}{'Accuracy':>10}{'±':>8}{'N':>7}"]
+    for domain, stats in [*accuracy["per_domain"].items(), ("overall", accuracy["overall"])]:
         lines.append(
             f"{domain:<16}{stats['pass_rate'] * 100:>10.1f}"
             f"{stats['ci_halfwidth'] * 100:>8.1f}{stats['n']:>7}"
         )
-    overall = data["overall"]
-    lines.append(
-        f"{'overall':<16}{overall['pass_rate'] * 100:>10.1f}"
-        f"{overall['ci_halfwidth'] * 100:>8.1f}{overall['n']:>7}"
-    )
+    return "\n".join(lines)
+
+
+def _rejection_table(rejection: dict) -> str:
+    """Render the JSON form of a `RejectionStats`."""
+    lines = [f"{'Category':<40}{'Rejection Rate(%)':>18}"]
+    for category, entry in [*rejection["per_category"].items(), ("Overall", rejection["overall"])]:
+        lines.append(f"{category:<40}{entry['rate'] * 100:>18.1f}")
     return "\n".join(lines)
 
 
@@ -360,6 +368,8 @@ def cmd_reward(args, parser) -> int:
 def cmd_sim(args, parser) -> int:
     if args.rollouts < 2:
         parser.error("--rollouts must be >= 2: group advantages need at least 2 rollouts")
+    from .sim import ToyTrainConfig, run_toy_training  # numpy loads only for sim
+
     cohorts = load_cohorts(args.cohorts)
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
     pool = []
@@ -421,11 +431,7 @@ def cmd_stats(args, parser) -> int:
         print(f"stats: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     data = stats.to_json()
-    lines = [f"{'Category':<40}{'Rejection Rate(%)':>18}"]
-    for category, entry in data["per_category"].items():
-        lines.append(f"{category:<40}{entry['rate'] * 100:>18.1f}")
-    lines.append(f"{'Overall':<40}{data['overall']['rate'] * 100:>18.1f}")
-    print("\n".join(lines))
+    print(_rejection_table(data))
     if args.output:
         report = _base_report(args)
         report.update(rejection=data)
@@ -437,27 +443,11 @@ def cmd_report(args, parser) -> int:
     for path in args.inputs:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         print(f"== {path} ==")
-        if "accuracy" in data:
+        if data.get("accuracy") is not None:
             criterion = data.get("config", {}).get("criterion", "accuracy")
-            acc = data["accuracy"]
-            print(f"{criterion.capitalize()} accuracy (%)")
-            print(f"{'Domain':<16}{'Accuracy':>10}{'±':>8}{'N':>7}")
-            for domain, stats in acc["per_domain"].items():
-                print(
-                    f"{domain:<16}{stats['pass_rate'] * 100:>10.1f}"
-                    f"{stats['ci_halfwidth'] * 100:>8.1f}{stats['n']:>7}"
-                )
-            overall = acc["overall"]
-            print(
-                f"{'overall':<16}{overall['pass_rate'] * 100:>10.1f}"
-                f"{overall['ci_halfwidth'] * 100:>8.1f}{overall['n']:>7}"
-            )
+            print(_accuracy_table(data["accuracy"], criterion))
         if "rejection" in data:
-            rej = data["rejection"]
-            print(f"{'Category':<40}{'Rejection Rate(%)':>18}")
-            for category, entry in rej["per_category"].items():
-                print(f"{category:<40}{entry['rate'] * 100:>18.1f}")
-            print(f"{'Overall':<40}{rej['overall']['rate'] * 100:>18.1f}")
+            print(_rejection_table(data["rejection"]))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ grammar is rejected with a diagnostic rather than silently accepted.
 from __future__ import annotations
 
 import ast
+import functools
 import warnings
 
 from .nodes import (
@@ -77,8 +78,13 @@ def _span(node: ast.AST) -> Span:
     return Span(getattr(node, "lineno", 0), getattr(node, "col_offset", -1) + 1)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_header(header: str) -> tuple[tuple[str, ValueKind], ...]:
-    """Parse a ``def answer(...) -> int`` header into (name, kind) pairs."""
+    """Parse a ``def answer(...) -> int`` header into (name, kind) pairs.
+
+    Memoized per header text: every program of a template parses against
+    the same header. A rejected header raises again on every call.
+    """
     text = header.strip()
     if not text.endswith(":"):
         text += ":"

@@ -1,6 +1,7 @@
-"""Retriever backends: a deterministic fact-table mock with a rule-based
-rejection filter, and a remote chat-completion client speaking the few-shot
-fact-lookup protocol."""
+"""Retriever backends: a deterministic fact-table mock that rejects exactly
+the questions its table lacks, and a remote chat-completion client speaking
+the few-shot fact-lookup protocol. `classify_complexity` labels questions by
+the few-shot prompt's simple/complex rules; no backend applies it."""
 
 from __future__ import annotations
 
@@ -10,12 +11,12 @@ import string
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .dsl import ValueKind
+
+if TYPE_CHECKING:
+    import requests
 
 OUTCOME_VALUE = "value"
 OUTCOME_REJECTED = "rejected"
@@ -105,7 +106,7 @@ _COMPLEX_RES = tuple(re.compile(p) for p in _COMPLEX_PATTERNS)
 
 
 def classify_complexity(question: str) -> str:
-    """Label a question SIMPLE or COMPLEX per the mock rejection filter rules."""
+    """Label a question SIMPLE or COMPLEX by the few-shot prompt's rules."""
     text = _THRESHOLD_RE.sub(" ", normalize_question(question))
     for pattern in _COMPLEX_RES:
         if pattern.search(text):
@@ -158,10 +159,10 @@ class FactTable:
 
 
 class MockRetriever:
-    """Deterministic oracle: exact table hit, otherwise a conservative reject.
+    """Deterministic oracle: exact table hit, otherwise a reject.
 
-    Both complex questions and simple-but-unknown ones are rejected; an honest
-    offline oracle cannot answer facts it does not hold.
+    It applies no complexity filter: a question is rejected only when the
+    table lacks it, so a complex question that the table holds is answered.
     """
 
     def __init__(self, table: FactTable):
@@ -346,6 +347,9 @@ class RemoteRetriever:
     """
 
     def __init__(self, config: RemoteRetrieverConfig, session: requests.Session | None = None):
+        import requests  # loaded only by the remote path
+        from requests.adapters import HTTPAdapter
+
         self.config = config
         if session is None:
             session = requests.Session()
@@ -355,6 +359,8 @@ class RemoteRetriever:
         self._session = session
 
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse:
+        import requests
+
         if not request.question:
             return RetrieveResponse.error("empty question")
         payload = {

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .data_model import COHORT_SIZE
 
 VARIANT_COHORT = "cohort"
@@ -111,6 +109,8 @@ def group_advantages(
     normalize="mean" centers without rescaling (the alternative group-relative
     convention); an all-equal group yields all-zero advantages either way.
     """
+    import numpy as np  # loaded only by the callers that train
+
     if len(rewards) == 0:
         raise ValueError("rewards must be non-empty")
     arr = np.asarray(rewards, dtype=float)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cohortqa.cli
 from cohortqa.cli import main
 
 FIX = "fixtures"
@@ -234,3 +240,97 @@ def test_bad_counts_are_usage_errors(argv, capsys):
         main(argv + inputs)
     assert excinfo.value.code == 2
     assert argv[1] in capsys.readouterr().err
+
+
+def _copies_of_fixture_cohort(path, cohort_ids):
+    cohort = json.loads(open(f"{FIX}/cohorts.jsonl").read())
+    with open(path, "w") as out:
+        for cohort_id in cohort_ids:
+            print(json.dumps(dict(cohort, cohort_id=cohort_id)), file=out)
+
+
+def _write_batch(path, samples):
+    with open(path, "w") as out:
+        for cohort_id, sources in samples.items():
+            for index, source in enumerate(sources):
+                record = {"cohort_id": cohort_id, "sample_index": index, "source": source}
+                print(json.dumps(record), file=out)
+
+
+def _fixture_source(name):
+    return json.loads(open(f"{FIX}/programs/{name}_batch.jsonl").read())["source"]
+
+
+def test_eval_parses_each_distinct_source_once_per_cohort(tmp_path, capsys, monkeypatch):
+    from cohortqa.data_model import load_cohorts
+    from cohortqa.dsl import parse_program
+    from cohortqa.evaluation import LENIENT_CRITERION, apply_criterion, run_cohort, vote
+    from cohortqa.retriever import FactTable, MockRetriever
+
+    conj, short = _fixture_source("conjunction"), _fixture_source("shortcut")
+    samples = {"film-a": [conj, short, conj, conj], "film-b": [short, conj, short, short]}
+    cohorts, programs = tmp_path / "cohorts.jsonl", tmp_path / "programs.jsonl"
+    _copies_of_fixture_cohort(cohorts, samples)
+    _write_batch(programs, samples)
+    parsed = Counter()
+
+    def counting_parse(source, header):
+        parsed[source] += 1
+        return parse_program(source, header)
+
+    monkeypatch.setattr(cohortqa.cli, "parse_program", counting_parse)
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "eval", "--cohorts", str(cohorts), "--programs", str(programs),
+        "--facts", f"{FIX}/facts.jsonl", "--k", "4", "--no-timestamp", "--output", str(report),
+    )
+    assert code == 0
+    assert parsed == {conj: 2, short: 2}  # once in each cohort
+
+    # a fresh parse per sample gives the same rows
+    retriever = MockRetriever(FactTable.from_jsonl(f"{FIX}/facts.jsonl"))
+    rows = json.loads(report.read_text())["cohorts"]
+    for row, cohort in zip(rows, load_cohorts(cohorts)):
+        header = cohort.template.function_header
+        outcome = vote([
+            run_cohort(parse_program(source, header), cohort, retriever)
+            for source in samples[cohort.cohort_id]
+        ], cohort)
+        assert (row["cohort_id"], row["n_correct"], row["n_rejected"], row["n_calls"],
+                row["passed"]) == (cohort.cohort_id, outcome.n_correct, outcome.n_rejected,
+                                   outcome.summary.n_calls,
+                                   apply_criterion(outcome, LENIENT_CRITERION))
+
+
+def test_eval_leaves_backend_errored_cohorts_out_of_accuracy(tmp_path, capsys):
+    # the mock answers an empty question with an error outcome
+    empty_lookup = (
+        "def answer(Film1: str, Film2: str, DocumentaryType: str, Country: str) -> int:\n"
+        "    ok = retrieve(\"\", bool)\n"
+        "    return 1\n"
+    )
+    samples = {"film-a": [_fixture_source("conjunction")], "film-b": [empty_lookup]}
+    cohorts, programs = tmp_path / "cohorts.jsonl", tmp_path / "programs.jsonl"
+    _copies_of_fixture_cohort(cohorts, samples)
+    _write_batch(programs, samples)
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "eval", "--cohorts", str(cohorts), "--programs", str(programs),
+        "--facts", f"{FIX}/facts.jsonl", "--no-timestamp", "--output", str(report),
+    )
+    assert code == 3
+    assert "backend" in err
+    data = json.loads(report.read_text())
+    assert [row["backend_errors"] for row in data["cohorts"]] == [0, 6]
+    assert data["accuracy"]["overall"] == {"pass_rate": 1.0, "ci_halfwidth": 0.0, "n": 1}
+    assert "100.0" in out
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_requests():
+    src = str(Path(cohortqa.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, cohortqa.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

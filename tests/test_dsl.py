@@ -36,6 +36,14 @@ def test_parse_header():
     assert params == (("A", ValueKind.STR), ("N", ValueKind.INT))
 
 
+def test_parse_header_is_memoized_but_errors_are_not():
+    header = "def answer(A: str, N: int) -> int"
+    assert parse_header(header) is parse_header(header)
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            parse_header("def answer(A) -> int")
+
+
 def test_minimal_program():
     program = parse("return 0")
     assert program.param_names == ("X", "Y")

@@ -143,3 +143,21 @@ def test_eval_unreachable_backend_exits_3(tmp_path, capsys, monkeypatch):
     assert "backend" in capsys.readouterr().err
     (row,) = json.loads(report.read_text())["cohorts"]
     assert row["backend_errors"] >= 1
+
+
+def test_eval_all_cohorts_errored_reports_no_accuracy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    report = tmp_path / "report.json"
+    code = main([
+        "eval", "--cohorts", f"{FIX}/cohorts.jsonl",
+        "--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+        "--retriever", "remote", "--endpoint", "http://127.0.0.1:9/v1",
+        "--max-retries", "0", "--no-timestamp", "--output", str(report),
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "no accuracy" in captured.err
+    assert "0.0" not in captured.out
+    assert json.loads(report.read_text())["accuracy"] is None
+    assert main(["report", str(report)]) == 0
+    assert capsys.readouterr().out == f"== {report} ==\n"
