@@ -39,8 +39,9 @@ EXIT_USAGE = 2
 EXIT_BACKEND = 3
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+# one encoder for the run: json.dumps(obj, sort_keys=True) would build a new
+# one on every call, and sim writes a line per update
+_dump = json.JSONEncoder(sort_keys=True).encode
 
 
 def _base_report(args) -> dict:
@@ -402,9 +403,8 @@ def cmd_sim(args, parser) -> int:
                 candidates=names,
                 kl_regularized=log.kl_regularized,
             )
-            print(_dump(meta), file=out)
-            for record in log.updates:
-                print(_dump(record.to_json()), file=out)
+            out.write(_dump(meta) + "\n")
+            out.writelines(_dump(record.to_json()) + "\n" for record in log.updates)
     finals = dict(zip(names, log.final_probabilities))
     print(_dump({"variant": args.variant, "final_probabilities": finals}))
     return EXIT_OK
@@ -422,9 +422,14 @@ def cmd_stats(args, parser) -> int:
     events = []
     for path in args.traces:
         with open(path, encoding="utf-8") as handle:
-            for raw in handle:
-                if raw.strip():
-                    events.append(json.loads(raw))
+            for line_number, raw in enumerate(handle, 1):
+                if not raw.strip():
+                    continue
+                event = json.loads(raw)
+                if not (isinstance(event, dict) and "q" in event and "outcome" in event):
+                    print(f"stats: {path}:{line_number}: not a retrieve event", file=sys.stderr)
+                    return EXIT_FAILURE
+                events.append(event)
     try:
         stats = rejection_stats(events, label)
     except ValueError as exc:

@@ -3,6 +3,7 @@ and group-relative advantage normalization."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,30 +100,35 @@ class GroupAdvantages:
     epsilon: float
 
 
-def group_advantages(
-    rewards: Sequence[float],
-    epsilon: float = 1e-8,
-    normalize: str = "std",
-) -> GroupAdvantages:
+def _left_sum(values: Sequence[float]) -> float:
+    """Left-to-right float sum, which is how numpy sums fewer than 8 values.
+
+    The builtin `sum` compensates its rounding on Python 3.12 and later, so
+    it is not used here: the result would then depend on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def group_advantages(rewards: Sequence[float], epsilon: float = 1e-8) -> GroupAdvantages:
     """a_i = (r_i - mean) / (std + epsilon), population std.
 
-    normalize="mean" centers without rescaling (the alternative group-relative
-    convention); an all-equal group yields all-zero advantages either way.
+    Plain floats, in numpy's order of operations: for groups under 8 the
+    result equals `(arr - arr.mean()) / (arr.std() + epsilon)` bit for bit;
+    larger groups may differ in the last bits, because numpy then sums
+    pairwise.
     """
-    import numpy as np  # loaded only by the callers that train
-
     if len(rewards) == 0:
         raise ValueError("rewards must be non-empty")
-    arr = np.asarray(rewards, dtype=float)
-    centered = arr - arr.mean()
-    if normalize == "std":
-        advantages = centered / (arr.std() + epsilon)
-    elif normalize == "mean":
-        advantages = centered
-    else:
-        raise ValueError(f"unknown normalization {normalize!r}")
+    values = tuple(map(float, rewards))
+    n = len(values)
+    mean = _left_sum(values) / n
+    centered = [value - mean for value in values]
+    scale = math.sqrt(_left_sum([c * c for c in centered]) / n) + epsilon
     return GroupAdvantages(
-        rewards=tuple(arr.tolist()),
-        advantages=tuple(advantages.tolist()),
+        rewards=values,
+        advantages=tuple(c / scale for c in centered),
         epsilon=epsilon,
     )

@@ -15,7 +15,6 @@ from .evaluation import CohortOutcome, run_cohort
 from .reward import (
     VARIANT_COHORT,
     VARIANT_NORMAL,
-    CohortExecutionSummary,
     cohort_reward,
     group_advantages,
     rejection_penalty,
@@ -110,18 +109,26 @@ def policy_gradient_step(
     sampled: Sequence[int],
     advantages: Sequence[float],
     learning_rate: float,
+    probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact softmax score-function update for advantage-weighted log-prob.
 
     For each sampled index i: grad log pi(i) = onehot(i) - p, with p held
     fixed at the pre-update distribution; contributions sum over rollouts.
+    `probs` is that distribution, `softmax(logits)`, when the caller has it.
+    The arithmetic runs on plain floats in the order of the array form
+    (grad -= adv * p; grad[i] += adv; logits + lr * grad), so both agree
+    bit for bit.
     """
-    probs = softmax(logits)
-    grad = np.zeros_like(logits)
+    if probs is None:
+        probs = softmax(logits)
+    p = probs.tolist()
+    grad = [0.0] * len(p)
     for i, adv in zip(sampled, advantages):
-        grad -= adv * probs
+        for j, p_j in enumerate(p):
+            grad[j] -= adv * p_j
         grad[i] += adv
-    return logits + learning_rate * grad
+    return np.array([x + learning_rate * g for x, g in zip(logits.tolist(), grad)])
 
 
 def run_toy_training(
@@ -139,54 +146,35 @@ def run_toy_training(
     rng = np.random.default_rng(config.seed)
     policy = ToyPolicy.uniform(len(pool))
     log = TrainingLog(config=config)
-    # deterministic retriever => outcomes are pure in (program, cohort)
-    outcome_cache: dict[tuple[int, int], CohortOutcome] = {}
+    # deterministic retriever => rewards are pure in (program, cohort); the
+    # outcome itself is not kept once its reward is known
+    reward_cache: dict[tuple[int, int], float] = {}
+    probs = policy.probabilities
 
     for update_index in range(config.updates):
         cohort_index = update_index % len(cohorts)
-        cohort = cohorts[cohort_index]
-        probs = policy.probabilities
-        sampled = rng.choice(len(pool), size=config.rollouts_per_update, p=probs)
+        sampled = rng.choice(len(pool), size=config.rollouts_per_update, p=probs).tolist()
         rewards = []
         for program_index in sampled:
-            key = (int(program_index), cohort_index)
-            if key not in outcome_cache:
-                outcome_cache[key] = run_cohort(pool[key[0]], cohort, retriever, limits)
-            rewards.append(mode_reward(outcome_cache[key], config.mode))
+            key = (program_index, cohort_index)
+            reward = reward_cache.get(key)
+            if reward is None:
+                outcome = run_cohort(pool[program_index], cohorts[cohort_index], retriever, limits)
+                reward = reward_cache[key] = mode_reward(outcome, config.mode)
+            rewards.append(reward)
         group = group_advantages(rewards, epsilon=config.advantage_epsilon)
         policy.logits = policy_gradient_step(
-            policy.logits, [int(i) for i in sampled], group.advantages, config.learning_rate
+            policy.logits, sampled, group.advantages, config.learning_rate, probs
         )
+        probs = policy.probabilities  # the next update's sampling distribution
         log.updates.append(
             UpdateRecord(
                 cohort_index=cohort_index,
-                sampled=tuple(int(i) for i in sampled),
+                sampled=tuple(sampled),
                 rewards=group.rewards,
                 advantages=group.advantages,
-                probabilities_after=tuple(policy.probabilities.tolist()),
+                probabilities_after=tuple(probs.tolist()),
             )
         )
-    log.final_probabilities = tuple(policy.probabilities.tolist())
+    log.final_probabilities = tuple(probs.tolist())
     return log
-
-
-def compare_variants(
-    pool: Sequence[Program],
-    cohorts: Sequence[CohortInstance],
-    retriever,
-    config_base: ToyTrainConfig,
-    limits: ExecutionLimits = ExecutionLimits(),
-) -> dict[str, TrainingLog]:
-    """Train under cohort, normal, and org reward modes with a shared seed."""
-    results = {}
-    for mode in MODES:
-        config = ToyTrainConfig(
-            rollouts_per_update=config_base.rollouts_per_update,
-            updates=config_base.updates,
-            learning_rate=config_base.learning_rate,
-            mode=mode,
-            seed=config_base.seed,
-            advantage_epsilon=config_base.advantage_epsilon,
-        )
-        results[mode] = run_toy_training(config, pool, cohorts, retriever, limits)
-    return results

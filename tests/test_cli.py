@@ -208,6 +208,38 @@ def test_stats_empty_trace_fails(tmp_path, capsys):
     assert code == 1
 
 
+
+def test_stats_on_exec_output_names_the_result_line(tmp_path, capsys):
+    # exec prints its retrieve events and then a result line, which has no "q"
+    code, out, _ = run(
+        capsys, "exec", "--program", f"{FIX}/programs/conjunction.py",
+        "--cohorts", f"{FIX}/cohorts.jsonl", "--cohort-id", "hotpotqa-film-0001",
+        "--facts", f"{FIX}/facts.jsonl",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) >= 2 and "q" not in json.loads(lines[-1])
+    traces = tmp_path / "exec.jsonl"
+    traces.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "stats", "--traces", str(traces))
+    assert code == 1
+    assert out == ""
+    assert err == f"stats: {traces}:{len(lines)}: not a retrieve event\n"
+
+    # the retrieve events alone are read as they are
+    traces.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "stats", "--traces", str(traces))
+    assert code == 0
+    assert "Overall" in out
+
+
+def test_stats_rejects_line_without_outcome(tmp_path, capsys):
+    traces = tmp_path / "trace.jsonl"
+    traces.write_text('\n{"q": "Is Amy a documentary film?"}\n', encoding="utf-8")
+    code, _, err = run(capsys, "stats", "--traces", str(traces))
+    assert code == 1
+    assert err == f"stats: {traces}:2: not a retrieve event\n"
+
 def test_report_renders_eval_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     run(

@@ -1,14 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import cohortqa.sim
 from cohortqa.evaluation import run_cohort
 from cohortqa.sim import (
     MODE_COHORT,
     MODE_NORMAL,
     MODE_ORG,
+    MODES,
     ToyPolicy,
     ToyTrainConfig,
-    compare_variants,
     mode_reward,
     policy_gradient_step,
     run_toy_training,
@@ -82,6 +85,18 @@ def test_zero_advantages_leave_logits_unchanged():
     assert np.array_equal(got, logits)
 
 
+def test_policy_gradient_same_with_and_without_probs():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        logits = rng.normal(size=6)
+        sampled = rng.integers(0, 6, size=5).tolist()
+        advantages = rng.normal(size=5).tolist()
+        without = policy_gradient_step(logits, sampled, advantages, 0.5)
+        with_probs = policy_gradient_step(logits, sampled, advantages, 0.5, softmax(logits))
+        assert without.dtype == with_probs.dtype == np.float64
+        assert np.array_equal(without, with_probs)
+
+
 def test_mode_rewards_on_fixture(program_pool, sim_cohorts, fact_retriever):
     by_name = dict(program_pool)
     generalizer = run_cohort(by_name["generalizer"], sim_cohorts[0], fact_retriever)
@@ -134,15 +149,73 @@ def test_org_training_prefers_shortcut(program_pool, sim_cohorts, fact_retriever
     assert log.final_probabilities[1] > 0.95  # index 1 = shortcut
 
 
-def test_compare_variants_covers_all_modes(program_pool, sim_cohorts, fact_retriever):
-    base = ToyTrainConfig(updates=30, seed=5)
-    results = compare_variants(_pool(program_pool), sim_cohorts, fact_retriever, base)
-    assert set(results) == {MODE_COHORT, MODE_NORMAL, MODE_ORG}
-    for log in results.values():
-        assert len(log.updates) == 30
-        assert not log.kl_regularized
-
-
 def test_empty_pool_rejected(sim_cohorts, fact_retriever):
     with pytest.raises(ValueError):
         run_toy_training(ToyTrainConfig(updates=1), [], sim_cohorts, fact_retriever)
+
+
+def _reference_training(config, pool, cohorts, retriever):
+    """The loop as it was before rewards were cached: one outcome cache,
+    mode_reward per rollout, numpy group statistics and a softmax in each
+    step. Returns the records' JSON and the final probabilities."""
+    rng = np.random.default_rng(config.seed)
+    logits = np.zeros(len(pool))
+    outcomes = {}
+    records = []
+    for update_index in range(config.updates):
+        cohort_index = update_index % len(cohorts)
+        sampled = rng.choice(len(pool), size=config.rollouts_per_update, p=softmax(logits))
+        rewards = []
+        for program_index in sampled:
+            key = (int(program_index), cohort_index)
+            if key not in outcomes:
+                outcomes[key] = run_cohort(pool[key[0]], cohorts[cohort_index], retriever)
+            rewards.append(mode_reward(outcomes[key], config.mode))
+        arr = np.asarray(rewards, dtype=float)
+        advantages = ((arr - arr.mean()) / (arr.std() + config.advantage_epsilon)).tolist()
+        probs = softmax(logits)
+        grad = np.zeros_like(logits)
+        for i, adv in zip(sampled, advantages):
+            grad -= adv * probs
+            grad[i] += adv
+        logits = logits + config.learning_rate * grad
+        records.append({
+            "cohort_index": cohort_index,
+            "sampled": [int(i) for i in sampled],
+            "rewards": arr.tolist(),
+            "advantages": advantages,
+            "probabilities_after": softmax(logits).tolist(),
+        })
+    return records, tuple(softmax(logits).tolist())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rollouts", [2, 5, 7])
+def test_training_matches_reference_loop(mode, rollouts, program_pool, sim_cohorts, fact_retriever):
+    config = ToyTrainConfig(rollouts_per_update=rollouts, updates=60, mode=mode, seed=rollouts)
+    pool = _pool(program_pool)
+    log = run_toy_training(config, pool, sim_cohorts, fact_retriever)
+    records, finals = _reference_training(config, pool, sim_cohorts, fact_retriever)
+    # exact equality: the log must not move by a single bit
+    assert [u.to_json() for u in log.updates] == records
+    assert log.final_probabilities == finals
+    assert not log.kl_regularized
+
+
+def test_run_cohort_once_per_program_cohort_pair(program_pool, sim_cohorts, fact_retriever, monkeypatch):
+    calls = Counter()
+
+    def counting_run_cohort(program, cohort, retriever, limits):
+        calls[(id(program), cohort.cohort_id)] += 1
+        return run_cohort(program, cohort, retriever, limits)
+
+    monkeypatch.setattr(cohortqa.sim, "run_cohort", counting_run_cohort)
+    pool = _pool(program_pool)
+    config = ToyTrainConfig(updates=40, seed=3)
+    log = run_toy_training(config, pool, sim_cohorts, fact_retriever)
+    sampled_pairs = {
+        (id(pool[i]), sim_cohorts[u.cohort_index].cohort_id) for u in log.updates for i in u.sampled
+    }
+    assert sum(len(u.sampled) for u in log.updates) == 200
+    assert set(calls) == sampled_pairs
+    assert set(calls.values()) == {1}
