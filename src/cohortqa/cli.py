@@ -12,7 +12,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .data_model import SchemaError, load_cohorts, validate_cohort
+from .data_model import SchemaError, load_cohorts, read_jsonl, validate_cohort
 from .dsl import ParseError, Program, check_program, parse_program
 from .evaluation import (
     EvalCriterion,
@@ -105,28 +105,23 @@ def _retriever_config_json(args) -> dict:
     return config
 
 
-def _load_program_batch(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            obj = json.loads(raw)
-            for key in ("cohort_id", "sample_index", "source"):
-                if key not in obj:
-                    raise SchemaError(f"missing key {key!r}", key, lineno)
-            records.append(obj)
-    return records
+_BATCH_KEYS = ("cohort_id", "sample_index", "source")
+
+
+def _read_json_object(path: str) -> dict:
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"malformed JSON: {exc}", path=path) from exc
+    if not isinstance(data, dict):
+        raise SchemaError("not a JSON object", path=path)
+    return data
 
 
 # --- subcommands ---------------------------------------------------------
 
 def cmd_validate(args, parser) -> int:
-    try:
-        cohorts = load_cohorts(args.cohorts)
-    except (OSError, SchemaError) as exc:
-        print(f"validate: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    cohorts = load_cohorts(args.cohorts)
     if not cohorts:
         print("0 cohorts")
         return EXIT_OK
@@ -156,9 +151,8 @@ def cmd_validate(args, parser) -> int:
 
 def cmd_check(args, parser) -> int:
     cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
-    records = _load_program_batch(args.programs)
     any_fail = False
-    for record in records:
+    for record in read_jsonl(args.programs, required=_BATCH_KEYS):
         tag = f"{record['cohort_id']}#{record['sample_index']}"
         cohort = cohorts.get(record["cohort_id"])
         if cohort is None:
@@ -227,15 +221,14 @@ def cmd_eval(args, parser) -> int:
         parser.error("--jobs must be >= 1")
     limits = _make_limits(args, parser)
     cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
-    records = _load_program_batch(args.programs)
+    by_cohort: dict[str, list[dict]] = defaultdict(list)
+    for record in read_jsonl(args.programs, required=_BATCH_KEYS):
+        by_cohort[record["cohort_id"]].append(record)
     retriever = _make_retriever(args, parser, max_in_flight=args.jobs)
     # the mock is GIL-bound: threads would only add overhead
     jobs = 1 if args.retriever == "mock" else args.jobs
     criterion = EvalCriterion(args.criterion)
 
-    by_cohort: dict[str, list[dict]] = defaultdict(list)
-    for record in records:
-        by_cohort[record["cohort_id"]].append(record)
     groups = [
         (cohort_id, sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[: args.k])
         for cohort_id in sorted(by_cohort)
@@ -337,29 +330,25 @@ def _rejection_table(rejection: dict) -> str:
     return "\n".join(lines)
 
 
+def _reward_record(obj: dict, line: int) -> dict:
+    summary = CohortExecutionSummary(obj["n_correct"], obj["n_calls"], obj["n_rejected"])
+    breakdown = cohort_reward(summary, variant=obj.get("variant", "normal"))
+    return {
+        "cohort_id": obj.get("cohort_id", ""),
+        "sample_index": obj.get("sample_index", 0),
+        "n_correct": summary.n_correct,
+        "n_calls": summary.n_calls,
+        "n_rejected": summary.n_rejected,
+        **breakdown.to_json(),
+    }
+
+
 def cmd_reward(args, parser) -> int:
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        with open(args.outcomes, encoding="utf-8") as handle:
-            for raw in handle:
-                if not raw.strip():
-                    continue
-                obj = json.loads(raw)
-                summary = CohortExecutionSummary(
-                    n_correct=obj["n_correct"],
-                    n_calls=obj["n_calls"],
-                    n_rejected=obj["n_rejected"],
-                )
-                breakdown = cohort_reward(summary, variant=obj.get("variant", "normal"))
-                record = {
-                    "cohort_id": obj.get("cohort_id", ""),
-                    "sample_index": obj.get("sample_index", 0),
-                    "n_correct": summary.n_correct,
-                    "n_calls": summary.n_calls,
-                    "n_rejected": summary.n_rejected,
-                    **breakdown.to_json(),
-                }
-                print(_dump(record), file=out)
+        for record in read_jsonl(args.outcomes, _reward_record,
+                                 ("n_correct", "n_calls", "n_rejected")):
+            print(_dump(record), file=out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -369,20 +358,21 @@ def cmd_reward(args, parser) -> int:
 def cmd_sim(args, parser) -> int:
     if args.rollouts < 2:
         parser.error("--rollouts must be >= 2: group advantages need at least 2 rollouts")
+    if args.updates < 1:
+        parser.error("--updates must be >= 1")
     from .sim import ToyTrainConfig, run_toy_training  # numpy loads only for sim
 
     cohorts = load_cohorts(args.cohorts)
+    if not cohorts:
+        raise SchemaError("no cohorts", path=args.cohorts)
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
-    pool = []
-    names = []
-    with open(args.pool, encoding="utf-8") as handle:
-        for raw in handle:
-            if not raw.strip():
-                continue
-            obj = json.loads(raw)
-            header = cohorts[0].template.function_header
-            pool.append(parse_program(obj["source"], header))
-            names.append(obj.get("name", f"candidate-{len(names)}"))
+    header = cohorts[0].template.function_header
+    candidates = list(read_jsonl(
+        args.pool, lambda obj, line: (obj, parse_program(obj["source"], header)), ("source",)))
+    if not candidates:
+        raise SchemaError("no candidate programs", path=args.pool)
+    names = [obj.get("name", f"candidate-{i}") for i, (obj, _) in enumerate(candidates)]
+    pool = [program for _, program in candidates]
     config = ToyTrainConfig(
         rollouts_per_update=args.rollouts,
         updates=args.updates,
@@ -413,7 +403,7 @@ def cmd_sim(args, parser) -> int:
 def cmd_stats(args, parser) -> int:
     label_map = {}
     if args.labels:
-        raw_map = json.loads(Path(args.labels).read_text(encoding="utf-8"))
+        raw_map = _read_json_object(args.labels)
         label_map = {normalize_question(k): v for k, v in raw_map.items()}
 
     def label(question: str) -> str:
@@ -421,15 +411,11 @@ def cmd_stats(args, parser) -> int:
 
     events = []
     for path in args.traces:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, raw in enumerate(handle, 1):
-                if not raw.strip():
-                    continue
-                event = json.loads(raw)
-                if not (isinstance(event, dict) and "q" in event and "outcome" in event):
-                    print(f"stats: {path}:{line_number}: not a retrieve event", file=sys.stderr)
-                    return EXIT_FAILURE
-                events.append(event)
+        for line, event in read_jsonl(path, lambda obj, line: (line, obj)):
+            if not ("q" in event and "outcome" in event):
+                print(f"stats: {path}:{line}: not a retrieve event", file=sys.stderr)
+                return EXIT_FAILURE
+            events.append(event)
     try:
         stats = rejection_stats(events, label)
     except ValueError as exc:
@@ -446,7 +432,7 @@ def cmd_stats(args, parser) -> int:
 
 def cmd_report(args, parser) -> int:
     for path in args.inputs:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = _read_json_object(path)
         print(f"== {path} ==")
         if data.get("accuracy") is not None:
             criterion = data.get("config", {}).get("criterion", "accuracy")
@@ -539,7 +525,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (OSError, SchemaError, ParseError, json.JSONDecodeError) as exc:
+    except (OSError, SchemaError, ParseError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -7,7 +7,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 COHORT_SIZE = 6  # 1 original + 5 variants
 NUM_VARIANTS = COHORT_SIZE - 1
@@ -16,16 +16,53 @@ KNOWN_DOMAINS = ("arc-challenge", "arc-easy", "csqa", "strategyqa", "hotpotqa", 
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
 
+T = TypeVar("T")
+
+# one decoder for every line: json.loads re-checks its arguments on each call
+_decode = json.JSONDecoder().decode
+
 
 class SchemaError(ValueError):
-    """A cohort record violates the JSONL schema or a type invariant."""
+    """An input record violates its schema or a type invariant."""
 
-    def __init__(self, message: str, field_path: str = "", line: int | None = None):
+    def __init__(self, message: str, field_path: str = "", line: int | None = None,
+                 path: str | Path | None = None):
+        self.message = message
         self.field_path = field_path
         self.line = line
-        prefix = f"line {line}: " if line is not None else ""
+        prefix = f"{path}: " if path is not None else ""
+        prefix += f"line {line}: " if line is not None else ""
         suffix = f" (at {field_path})" if field_path else ""
         super().__init__(f"{prefix}{message}{suffix}")
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict, int], T] | None = None,
+               required: tuple[str, ...] = ()) -> Iterator[T]:
+    """Yield `parse(record, line)` for each JSON object line of a file.
+
+    Blank lines are skipped. Malformed JSON, a line that is not an object, a
+    missing `required` key, and a ValueError or TypeError from `parse` each
+    become a SchemaError that names the file and the line.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for line, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = _decode(raw)
+                if type(record) is not dict:
+                    raise SchemaError("not a JSON object")
+                for key in required:
+                    if key not in record:
+                        raise SchemaError(f"missing key {key!r}", key)
+                item = record if parse is None else parse(record, line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"malformed JSON: {exc.msg}", line=line, path=path) from exc
+            except SchemaError as exc:
+                raise SchemaError(exc.message, exc.field_path, line, path) from exc
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(str(exc), line=line, path=path) from exc
+            yield item
 
 
 @dataclass(frozen=True)
@@ -147,7 +184,7 @@ def instantiate_template(template: AbstractionTemplate, bindings: Mapping[str, s
     return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), template.masked_question)
 
 
-def _normalize_question(text: str) -> str:
+def normalize_question(text: str) -> str:
     """Collapse whitespace runs and drop trailing punctuation for comparisons."""
     collapsed = " ".join(text.split())
     return collapsed.rstrip(string.punctuation + " ")
@@ -162,7 +199,7 @@ def validate_cohort(cohort: CohortInstance) -> ValidationReport:
         bindings_match = set(member.bindings) == declared
         if bindings_match:
             expected = instantiate_template(cohort.template, member.bindings)
-            template_match = _normalize_question(expected) == _normalize_question(member.question_text)
+            template_match = normalize_question(expected) == normalize_question(member.question_text)
         else:
             template_match = False
         gold_in_range = 0 <= member.gold_index < n_options
@@ -228,7 +265,7 @@ def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
             domain_tag=domain,
         )
     except SchemaError as exc:
-        raise SchemaError(str(exc), exc.field_path, line) from exc
+        raise SchemaError(exc.message, exc.field_path, line) from exc
     original = _parse_member(obj["original"], template.options, "original", line)
     raw_variants = obj["variants"]
     if not isinstance(raw_variants, list):
@@ -241,27 +278,12 @@ def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
         _parse_member(v, template.options, f"variants[{i}]", line)
         for i, v in enumerate(raw_variants)
     )
-    try:
-        return CohortInstance(
-            cohort_id=str(obj["cohort_id"]),
-            template=template,
-            original=original,
-            variants=variants,
-        )
-    except SchemaError as exc:
-        raise SchemaError(str(exc), exc.field_path, line) from exc
+    # the variant count is checked above, so CohortInstance cannot reject it
+    return CohortInstance(
+        cohort_id=str(obj["cohort_id"]), template=template, original=original, variants=variants
+    )
 
 
 def load_cohorts(path: str | Path) -> list[CohortInstance]:
     """Load all cohorts from a JSONL file, reporting line numbers on failure."""
-    cohorts = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-            cohorts.append(parse_cohort(obj, line=lineno))
-    return cohorts
+    return list(read_jsonl(path, parse_cohort))

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import json
 import re
-import string
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
 
+from . import data_model
+from .data_model import SchemaError, read_jsonl
 from .dsl import ValueKind
 
 if TYPE_CHECKING:
@@ -57,8 +58,7 @@ class Retriever(Protocol):
 
 def normalize_question(text: str) -> str:
     """Case-fold, collapse whitespace, strip terminal punctuation."""
-    collapsed = " ".join(text.split()).casefold()
-    return collapsed.rstrip(string.punctuation + " ")
+    return data_model.normalize_question(text.casefold())
 
 
 def _value_conforms(kind: ValueKind, value) -> bool:
@@ -136,26 +136,16 @@ class FactTable:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FactTable":
-        entries: dict[str, FactEntry] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-                try:
-                    kind = ValueKind.from_name(obj["kind"])
-                except KeyError:
-                    raise ValueError(f"{path}:{lineno}: bad kind {obj.get('kind')!r}") from None
-                value = obj["value"]
-                if not _value_conforms(kind, value):
-                    raise ValueError(
-                        f"{path}:{lineno}: value {value!r} does not conform to kind {kind.value}"
-                    )
-                entries[normalize_question(obj["q"])] = FactEntry(kind, value)
-        return cls(entries)
+        return cls(dict(read_jsonl(path, _fact, ("q", "kind", "value"))))
+
+
+def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
+    question, kind, value = record["q"], ValueKind(record["kind"]), record["value"]
+    if not isinstance(question, str):
+        raise SchemaError("q must be a string", "q")
+    if not _value_conforms(kind, value):
+        raise SchemaError(f"value {value!r} does not conform to kind {kind.value}", "value")
+    return normalize_question(question), FactEntry(kind, value)
 
 
 class MockRetriever:

@@ -261,6 +261,8 @@ def test_report_renders_eval_json(tmp_path, capsys):
     ["eval", "--k", "0"],
     ["eval", "--max-steps", "0"],
     ["sim", "--rollouts", "1"],
+    ["sim", "--updates", "0"],
+    ["sim", "--updates", "-3"],
 ])
 def test_bad_counts_are_usage_errors(argv, capsys):
     inputs = ["--cohorts", f"{FIX}/cohorts.jsonl", "--facts", f"{FIX}/facts.jsonl"]
@@ -366,3 +368,90 @@ def test_importing_the_cli_loads_neither_numpy_nor_requests():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _first_line(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8").splitlines()[0]
+
+
+# each JSONL input: the command that reads it, and one valid line to put first
+_OUTCOME = '{"n_correct": 3, "n_calls": 2, "n_rejected": 0}'
+_JSONL_INPUTS = {
+    "cohorts": (lambda path: ["validate", path],
+                _first_line(f"{FIX}/cohorts.jsonl")),
+    "facts": (lambda path: ["eval", "--cohorts", f"{FIX}/cohorts.jsonl",
+                            "--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+                            "--facts", path],
+              _first_line(f"{FIX}/facts.jsonl")),
+    "programs": (lambda path: ["eval", "--cohorts", f"{FIX}/cohorts.jsonl", "--programs", path,
+                               "--facts", f"{FIX}/facts.jsonl"],
+                 _first_line(f"{FIX}/programs/conjunction_batch.jsonl")),
+    "pool": (lambda path: ["sim", "--pool", path, "--cohorts", f"{FIX}/sim_cohorts.jsonl",
+                           "--facts", f"{FIX}/facts.jsonl", "--updates", "3"],
+             _first_line(f"{FIX}/pool.jsonl")),
+    "outcomes": (lambda path: ["reward", "--outcomes", path], _OUTCOME),
+    "traces": (lambda path: ["stats", "--traces", path],
+               '{"q": "Is Amy a documentary film?", "outcome": "value"}'),
+}
+# stats has no missing-key case: its own message for that is pinned above
+_REQUIRED_KEY = {"cohorts": "options", "facts": "q", "programs": "source", "pool": "source",
+                 "outcomes": "n_correct"}
+
+
+def _without(line: str, key: str) -> str:
+    record = json.loads(line)
+    del record[key]
+    return json.dumps(record)
+
+
+_BAD_LINES = [
+    *((name, "malformed-json", "{nope") for name in _JSONL_INPUTS),
+    *((name, "not-an-object", "1") for name in _JSONL_INPUTS),
+    *((name, "missing-key", _without(_JSONL_INPUTS[name][1], key))
+      for name, key in _REQUIRED_KEY.items()),
+    ("facts", "bad-kind", '{"q": "Is x?", "kind": "colour", "value": "red"}'),
+    ("outcomes", "count-out-of-range", _OUTCOME.replace('"n_correct": 3', '"n_correct": 9')),
+]
+
+
+@pytest.mark.parametrize("name, case, bad_line", _BAD_LINES,
+                         ids=[f"{name}-{case}" for name, case, _ in _BAD_LINES])
+def test_bad_jsonl_line_names_file_and_line(name, case, bad_line, tmp_path, capsys):
+    argv_for, first_line = _JSONL_INPUTS[name]
+    path = tmp_path / f"{name}.jsonl"
+    # the blank line is skipped but still counted
+    path.write_text(f"{first_line}\n\n{bad_line}\n", encoding="utf-8")
+    argv = argv_for(str(path))
+    code, _, err = run(capsys, *argv)  # an exception escaping main would be a traceback
+    assert code == 1
+    assert err.startswith(f"{argv[0]}: {path}: line 3: ")
+
+
+@pytest.mark.parametrize("empty", ["--cohorts", "--pool"])
+def test_sim_on_an_empty_input_names_the_file(empty, tmp_path, capsys):
+    inputs = {"--pool": f"{FIX}/pool.jsonl", "--cohorts": f"{FIX}/sim_cohorts.jsonl",
+              "--facts": f"{FIX}/facts.jsonl"}
+    inputs[empty] = str(tmp_path / "empty.jsonl")
+    (tmp_path / "empty.jsonl").write_text("\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim", "--updates", "3", *(a for kv in inputs.items() for a in kv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"sim: {inputs[empty]}: no ")
+
+
+def test_stats_labels_that_are_not_an_object(tmp_path, capsys):
+    traces, labels = tmp_path / "trace.jsonl", tmp_path / "labels.json"
+    traces.write_text('{"q": "Is Amy a documentary film?", "outcome": "value"}\n', encoding="utf-8")
+    labels.write_text('["Is Amy a documentary film?"]\n', encoding="utf-8")
+    code, _, err = run(capsys, "stats", "--traces", str(traces), "--labels", str(labels))
+    assert code == 1
+    assert err == f"stats: {labels}: not a JSON object\n"
+
+
+def test_report_on_a_json_list(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("[]\n", encoding="utf-8")
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"report: {path}: not a JSON object\n"

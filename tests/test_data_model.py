@@ -10,7 +10,9 @@ from cohortqa.data_model import (
     SchemaError,
     instantiate_template,
     load_cohorts,
+    normalize_question,
     parse_cohort,
+    read_jsonl,
     validate_cohort,
 )
 
@@ -193,3 +195,34 @@ def test_load_cohorts_fixture(film_cohort):
     assert film_cohort.cohort_id == "hotpotqa-film-0001"
     assert validate_cohort(film_cohort).ok
     assert [m.gold_index for m in film_cohort.members] == [1, 0, 1, 1, 0, 1]
+
+
+def test_normalize_question_keeps_case():
+    assert normalize_question("  Is   WATER wet?? ") == "Is WATER wet"
+
+
+def test_read_jsonl_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"a": 2}\n', encoding="utf-8")
+    assert list(read_jsonl(path, lambda record, line: (line, record["a"]))) == [(1, 1), (4, 2)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"a": 1}\n{"a": \n', "malformed JSON: "),
+    ('{"a": 1}\n[1]\n', "not a JSON object"),
+    ('{"a": 1}\n{"b": 2}\n', "missing key 'a' (at a)"),
+    ('{"a": 1}\n{"a": -1}\n', "negative"),
+])
+def test_read_jsonl_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text, encoding="utf-8")
+
+    def parse(record, line):
+        if record["a"] < 0:
+            raise ValueError("negative")
+        return record["a"]
+
+    with pytest.raises(SchemaError) as excinfo:
+        list(read_jsonl(path, parse, required=("a",)))
+    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith(f"{path}: line 2: {message}")

@@ -3,6 +3,7 @@ import random
 import string
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cohortqa.dsl import ValueKind
 from cohortqa.retriever import (
@@ -28,6 +29,15 @@ from cohortqa.retriever import (
 
 def test_normalize_question():
     assert normalize_question("  Is   WATER wet?? ") == "is water wet"
+
+
+@given(st.text())
+@example("Stra\u00dfe \u0130stanbul\u2029?!")
+@example("\u1e9e\u00a0\u3000x.\u0085")
+def test_normalize_question_equals_its_casefold_first_form(text):
+    # the retriever's own body before it reused data_model.normalize_question
+    reference = " ".join(text.split()).casefold().rstrip(string.punctuation + " ")
+    assert normalize_question(text) == reference
     assert normalize_question("Who founded X.") == "who founded x"
 
 
