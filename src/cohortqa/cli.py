@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import defaultdict
+from contextlib import closing
 from itertools import islice
 from pathlib import Path
 
@@ -67,22 +69,23 @@ def _add_limit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-list-len", type=int, default=1024)
 
 
-def _make_retriever(args, parser: argparse.ArgumentParser, max_in_flight: int = 1):
+def _make_retriever(args, parser: argparse.ArgumentParser):
     if args.retriever == "mock":
         if not args.facts:
             parser.error("--retriever mock requires --facts")
         return MockRetriever(FactTable.from_jsonl(args.facts))
     if not args.endpoint:
         parser.error("--retriever remote requires --endpoint")
-    config = RemoteRetrieverConfig(
-        endpoint=args.endpoint,
-        model=args.model,
-        temperature=args.temperature,
-        timeout_s=args.timeout_ms / 1000.0,
-        max_retries=args.max_retries,
-        max_in_flight=max_in_flight,
-    )
-    return RemoteRetriever(config)
+    try:
+        return RemoteRetriever(RemoteRetrieverConfig(
+            endpoint=args.endpoint,
+            model=args.model,
+            temperature=args.temperature,
+            timeout_s=args.timeout_ms / 1000.0,
+            max_retries=args.max_retries,
+        ))
+    except ValueError as exc:
+        parser.error(f"--retriever remote: {exc}")
 
 
 def _make_limits(args, parser: argparse.ArgumentParser) -> ExecutionLimits:
@@ -106,6 +109,16 @@ def _retriever_config_json(args) -> dict:
 
 
 _BATCH_KEYS = ("cohort_id", "sample_index", "source")
+
+
+def _batch_record(record: dict, line: int) -> dict:
+    """One program-batch line, its three keys checked for type."""
+    for key, kind, noun in (("cohort_id", str, "a string"), ("sample_index", int, "an integer"),
+                            ("source", str, "a string")):
+        value = record[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SchemaError(f"{key} must be {noun}, not {value!r}", key)
+    return record
 
 
 def _read_json_object(path: str) -> dict:
@@ -152,7 +165,7 @@ def cmd_validate(args, parser) -> int:
 def cmd_check(args, parser) -> int:
     cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
     any_fail = False
-    for record in read_jsonl(args.programs, required=_BATCH_KEYS):
+    for record in read_jsonl(args.programs, _batch_record, _BATCH_KEYS):
         tag = f"{record['cohort_id']}#{record['sample_index']}"
         cohort = cohorts.get(record["cohort_id"])
         if cohort is None:
@@ -191,10 +204,10 @@ def cmd_exec(args, parser) -> int:
     except ParseError as exc:
         print(f"exec: parse error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    retriever = _make_retriever(args, parser)
-    result = execute(
-        program, cohort.members[args.member].bindings, retriever, _make_limits(args, parser)
-    )
+    with closing(_make_retriever(args, parser)) as retriever:
+        result = execute(
+            program, cohort.members[args.member].bindings, retriever, _make_limits(args, parser)
+        )
     for event in result.trace:
         print(_dump(event.to_json()))
     print(_dump({
@@ -222,9 +235,9 @@ def cmd_eval(args, parser) -> int:
     limits = _make_limits(args, parser)
     cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
     by_cohort: dict[str, list[dict]] = defaultdict(list)
-    for record in read_jsonl(args.programs, required=_BATCH_KEYS):
+    for record in read_jsonl(args.programs, _batch_record, _BATCH_KEYS):
         by_cohort[record["cohort_id"]].append(record)
-    retriever = _make_retriever(args, parser, max_in_flight=args.jobs)
+    retriever = _make_retriever(args, parser)
     # the mock is GIL-bound: threads would only add overhead
     jobs = 1 if args.retriever == "mock" else args.jobs
     criterion = EvalCriterion(args.criterion)
@@ -275,6 +288,9 @@ def cmd_eval(args, parser) -> int:
     except _BatchError as exc:
         print(f"eval: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        outcomes.close()  # joins the pool, so no thread still holds a connection
+        retriever.close()
     if not rows:
         print("eval: no programs to evaluate", file=sys.stderr)
         return EXIT_FAILURE
@@ -344,14 +360,21 @@ def _reward_record(obj: dict, line: int) -> dict:
 
 
 def cmd_reward(args, parser) -> int:
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    lines = (_dump(record) + "\n" for record in read_jsonl(
+        args.outcomes, _reward_record, ("n_correct", "n_calls", "n_rejected")))
+    if not args.output:
+        sys.stdout.writelines(lines)
+        return EXIT_OK
+    # stream to a file beside --output and rename it only on success, so a
+    # failed run leaves no partial output and an existing file untouched
+    output = Path(args.output)
+    partial = output.with_name(f".{output.name}.{os.getpid()}.partial")
     try:
-        for record in read_jsonl(args.outcomes, _reward_record,
-                                 ("n_correct", "n_calls", "n_rejected")):
-            print(_dump(record), file=out)
+        with open(partial, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+        os.replace(partial, output)
     finally:
-        if out is not sys.stdout:
-            out.close()
+        partial.unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -412,7 +435,7 @@ def cmd_stats(args, parser) -> int:
     events = []
     for path in args.traces:
         for line, event in read_jsonl(path, lambda obj, line: (line, obj)):
-            if not ("q" in event and "outcome" in event):
+            if not (isinstance(event.get("q"), str) and isinstance(event.get("outcome"), str)):
                 print(f"stats: {path}:{line}: not a retrieve event", file=sys.stderr)
                 return EXIT_FAILURE
             events.append(event)

@@ -6,18 +6,17 @@ the few-shot prompt's simple/complex rules; no backend applies it."""
 from __future__ import annotations
 
 import json
+import math
+import random
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from . import data_model
 from .data_model import SchemaError, read_jsonl
 from .dsl import ValueKind
-
-if TYPE_CHECKING:
-    import requests
 
 OUTCOME_VALUE = "value"
 OUTCOME_REJECTED = "rejected"
@@ -171,6 +170,9 @@ class MockRetriever:
         value = list(entry.value) if request.kind is ValueKind.LIST else entry.value
         return RetrieveResponse.of_value(value)
 
+    def close(self) -> None:
+        """Nothing to release; a caller may close any retriever it made."""
+
 
 # --- few-shot rejection prompt -------------------------------------------
 
@@ -269,16 +271,27 @@ REJECTION_EXEMPLARS: tuple[RejectionExemplar, ...] = (
 )
 
 
+# the system prompt and exemplar turns are the same for every lookup; the
+# prompts built from them share these dicts, so nothing may mutate them
+_FEW_SHOT_PREFIX: tuple[dict[str, str], ...] = (
+    {"role": "system", "content": REJECTION_SYSTEM_PROMPT},
+    *(
+        turn
+        for ex in REJECTION_EXEMPLARS
+        for turn in (
+            {"role": "user", "content": f"{ex.question} ({ex.return_type})"},
+            {"role": "assistant", "content": ex.reply},
+        )
+    ),
+)
+
+
 def build_rejection_prompt(request: RetrieveRequest) -> list[dict[str, str]]:
     """Full few-shot message sequence ending with `{question} ({type})`."""
-    messages = [{"role": "system", "content": REJECTION_SYSTEM_PROMPT}]
-    for ex in REJECTION_EXEMPLARS:
-        messages.append({"role": "user", "content": f"{ex.question} ({ex.return_type})"})
-        messages.append({"role": "assistant", "content": ex.reply})
-    messages.append(
-        {"role": "user", "content": f"{request.question} ({request.kind.value})"}
-    )
-    return messages
+    return [
+        *_FEW_SHOT_PREFIX,
+        {"role": "user", "content": f"{request.question} ({request.kind.value})"},
+    ]
 
 
 _FENCE_RE = re.compile(r"```json\s*(.*?)```", re.DOTALL)
@@ -312,6 +325,10 @@ def parse_llm_reply(raw: str, kind: ValueKind) -> RetrieveResponse:
 
 # --- remote backend ------------------------------------------------------
 
+# the longest wait before a retry, from backoff or from a Retry-After header
+MAX_RETRY_WAIT_S = 30.0
+
+
 @dataclass
 class RemoteRetrieverConfig:
     endpoint: str
@@ -320,37 +337,68 @@ class RemoteRetrieverConfig:
     timeout_s: float = 30.0
     max_retries: int = 3
     backoff_base_s: float = 0.5
-    max_in_flight: int = 8
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # NaN or infinity would not survive as JSON
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
+        if not self.timeout_s > 0:
+            raise ValueError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max retries must be >= 0")
 
 
 class RemoteRetriever:
     """JSON-over-HTTP chat-completion client with retry/backoff.
 
     Safe to share between threads. It bounds nothing itself: callers bound
-    concurrency (`run_cohorts` by its pool size), and `max_in_flight` sizes
-    the default session's connection pool to match, so every thread keeps
-    its kept-alive connection.
+    concurrency (`run_cohorts` by its pool size), and each calling thread
+    keeps one kept-alive connection (`transport.HTTPSession`). `session`
+    replaces that client with any object whose `post(url, json=...,
+    timeout=...)` returns a response with `status_code` and `json()`.
+
+    A transport failure, a 429 or a 5xx reply is retried up to `max_retries`
+    times. Before each retry it waits the reply's Retry-After seconds, or
+    else a full-jitter exponential backoff drawn from `rng`: uniform in
+    [0, backoff_base_s * 2 ** n] before retry n + 1. Either wait is capped at
+    MAX_RETRY_WAIT_S, and `sleep` does the waiting.
     """
 
-    def __init__(self, config: RemoteRetrieverConfig, session: requests.Session | None = None):
-        import requests  # loaded only by the remote path
-        from requests.adapters import HTTPAdapter
+    def __init__(
+        self,
+        config: RemoteRetrieverConfig,
+        session=None,
+        sleep: Callable[[float], None] = time.sleep,
+        rng: Optional[random.Random] = None,
+    ):
+        # loaded only by the remote path: http.client costs ~25 ms to import
+        from .transport import TRANSPORT_ERRORS, HTTPSession
 
         self.config = config
+        self._owns_session = session is None
         if session is None:
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
+            session = HTTPSession(config.endpoint, config.timeout_s)
         self._session = session
+        self._transport_errors = TRANSPORT_ERRORS
+        self._sleep = sleep
+        self._rng = random.Random() if rng is None else rng
+
+    def close(self) -> None:
+        """Close the connections this retriever opened; a passed-in session
+        stays open."""
+        if self._owns_session:
+            self._session.close()
+
+    def _wait_s(self, retry: int, headers) -> float:
+        retry_after = headers.get("Retry-After", "").strip()
+        # only the delay-seconds form (RFC 9110 section 10.2.3); an HTTP-date
+        # leaves the wait to the backoff
+        if retry_after.isascii() and retry_after.isdigit():
+            return min(MAX_RETRY_WAIT_S, float(retry_after))
+        ceiling = min(MAX_RETRY_WAIT_S, self.config.backoff_base_s * 2 ** retry)
+        return self._rng.uniform(0, ceiling)
 
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse:
-        import requests
-
         if not request.question:
             return RetrieveResponse.error("empty question")
         payload = {
@@ -359,21 +407,26 @@ class RemoteRetriever:
             "messages": build_rejection_prompt(request),
         }
         last_reason = "no attempt made"
+        wait_s = 0.0
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
+                self._sleep(wait_s)
             try:
                 resp = self._session.post(
                     self.config.endpoint, json=payload, timeout=self.config.timeout_s
                 )
-            except requests.RequestException as exc:
+            except self._transport_errors as exc:
                 last_reason = f"transport failure: {exc}"
+                wait_s = self._wait_s(attempt, {})
                 continue
-            if resp.status_code >= 500:
-                last_reason = f"server error {resp.status_code}"
+            status = resp.status_code
+            if status == 429 or status >= 500:
+                last_reason = f"server error {status}" if status >= 500 else "http 429"
+                # a test double may have no headers
+                wait_s = self._wait_s(attempt, getattr(resp, "headers", {}))
                 continue
-            if resp.status_code != 200:
-                return RetrieveResponse.error(f"http {resp.status_code}")
+            if status != 200:
+                return RetrieveResponse.error(f"http {status}")
             try:
                 content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):

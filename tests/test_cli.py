@@ -162,6 +162,31 @@ def test_reward_recomputes_breakdowns(tmp_path, capsys):
     assert record["r_rej"] == -0.1
 
 
+def test_reward_output_is_not_created_when_the_input_is_missing(tmp_path, capsys):
+    output = tmp_path / "rewards.jsonl"
+    code, _, err = run(capsys, "reward", "--outcomes", str(tmp_path / "missing.jsonl"),
+                       "--output", str(output))
+    assert code == 1
+    assert err.startswith("reward: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reward_output_is_untouched_by_a_bad_line(tmp_path, capsys):
+    outcomes, output = tmp_path / "outcomes.jsonl", tmp_path / "rewards.jsonl"
+    outcomes.write_text(f"{_OUTCOME}\n" * 4 + "{nope\n", encoding="utf-8")
+    output.write_text("earlier rewards\n", encoding="utf-8")
+    code, _, err = run(capsys, "reward", "--outcomes", str(outcomes), "--output", str(output))
+    assert code == 1
+    assert err.startswith(f"reward: {outcomes}: line 5: ")
+    assert output.read_text(encoding="utf-8") == "earlier rewards\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.jsonl", "rewards.jsonl"]
+
+    outcomes.write_text(f"{_OUTCOME}\n" * 4, encoding="utf-8")
+    assert run(capsys, "reward", "--outcomes", str(outcomes), "--output", str(output))[0] == 0
+    assert len(output.read_text(encoding="utf-8").splitlines()) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.jsonl", "rewards.jsonl"]
+
+
 def test_sim_runs_and_logs(tmp_path, capsys):
     log_path = tmp_path / "log.jsonl"
     code, out, _ = run(
@@ -239,6 +264,17 @@ def test_stats_rejects_line_without_outcome(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
     assert err == f"stats: {traces}:2: not a retrieve event\n"
+
+
+@pytest.mark.parametrize("event", [{"q": ["Is Amy a documentary film?"], "outcome": "value"},
+                                   {"q": "Is Amy a documentary film?", "outcome": 1}])
+def test_stats_rejects_a_question_or_outcome_that_is_not_text(event, tmp_path, capsys):
+    traces = tmp_path / "trace.jsonl"
+    traces.write_text(json.dumps(event) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "stats", "--traces", str(traces))
+    assert code == 1
+    assert err == f"stats: {traces}:1: not a retrieve event\n"
+
 
 def test_report_renders_eval_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
@@ -386,6 +422,9 @@ _JSONL_INPUTS = {
     "programs": (lambda path: ["eval", "--cohorts", f"{FIX}/cohorts.jsonl", "--programs", path,
                                "--facts", f"{FIX}/facts.jsonl"],
                  _first_line(f"{FIX}/programs/conjunction_batch.jsonl")),
+    "check-programs": (lambda path: ["check", "--cohorts", f"{FIX}/cohorts.jsonl",
+                                     "--programs", path],
+                       _first_line(f"{FIX}/programs/conjunction_batch.jsonl")),
     "pool": (lambda path: ["sim", "--pool", path, "--cohorts", f"{FIX}/sim_cohorts.jsonl",
                            "--facts", f"{FIX}/facts.jsonl", "--updates", "3"],
              _first_line(f"{FIX}/pool.jsonl")),
@@ -404,6 +443,17 @@ def _without(line: str, key: str) -> str:
     return json.dumps(record)
 
 
+def _with(line: str, key: str, value) -> str:
+    return json.dumps(dict(json.loads(line), **{key: value}))
+
+
+# a program batch's first line has an int sample_index, so "b" makes it mixed
+_BATCH_TYPES = [("mixed-sample-index", "sample_index", "b"),
+                ("bool-sample-index", "sample_index", True),
+                ("list-cohort-id", "cohort_id", ["hotpotqa-film-0001"]),
+                ("int-source", "source", 5)]
+
+
 _BAD_LINES = [
     *((name, "malformed-json", "{nope") for name in _JSONL_INPUTS),
     *((name, "not-an-object", "1") for name in _JSONL_INPUTS),
@@ -411,6 +461,8 @@ _BAD_LINES = [
       for name, key in _REQUIRED_KEY.items()),
     ("facts", "bad-kind", '{"q": "Is x?", "kind": "colour", "value": "red"}'),
     ("outcomes", "count-out-of-range", _OUTCOME.replace('"n_correct": 3', '"n_correct": 9')),
+    *((name, case, _with(_JSONL_INPUTS[name][1], key, value))
+      for name in ("programs", "check-programs") for case, key, value in _BATCH_TYPES),
 ]
 
 

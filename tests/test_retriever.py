@@ -77,6 +77,25 @@ def test_prompt_structure():
     assert messages[-1] == {"role": "user", "content": "Is water wet? (bool)"}
 
 
+def test_prompt_equals_one_built_per_lookup():
+    # the per-lookup construction the module-level prefix replaced
+    def reference(request):
+        messages = [{"role": "system", "content": REJECTION_SYSTEM_PROMPT}]
+        for ex in REJECTION_EXEMPLARS:
+            messages.append({"role": "user", "content": f"{ex.question} ({ex.return_type})"})
+            messages.append({"role": "assistant", "content": ex.reply})
+        messages.append({"role": "user", "content": f"{request.question} ({request.kind.value})"})
+        return messages
+
+    for request in (RetrieveRequest("Is water wet?", ValueKind.BOOL),
+                    RetrieveRequest("Who founded X?", ValueKind.LIST)):
+        assert json.dumps(build_rejection_prompt(request)) == json.dumps(reference(request))
+    # each call returns its own list around the shared prefix
+    build_rejection_prompt(RetrieveRequest("a?", ValueKind.INT)).append({"role": "user"})
+    second = build_rejection_prompt(RetrieveRequest("b?", ValueKind.INT))
+    assert len(second) == 2 + 2 * len(REJECTION_EXEMPLARS)
+
+
 def test_parse_llm_reply_value_and_idk():
     ok = parse_llm_reply('```json\n{"answer": true}\n```', ValueKind.BOOL)
     assert ok.outcome == OUTCOME_VALUE and ok.value is True
@@ -212,11 +231,9 @@ def test_remote_retriever_happy_path():
 
 
 def test_remote_retriever_retries_5xx_then_succeeds():
-    import requests
-
     session = _FakeSession([
         _FakeResponse(500),
-        requests.ConnectionError("boom"),
+        ConnectionError("boom"),
         _FakeResponse(200, _reply('```json\n{"answer": "idk"}\n```')),
     ])
     config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3, backoff_base_s=0.0)
