@@ -12,6 +12,7 @@ from collections import defaultdict
 from contextlib import closing
 from itertools import islice
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import __version__
 from .data_model import SchemaError, load_cohorts, read_jsonl, validate_cohort
@@ -104,7 +105,10 @@ def _retriever_config_json(args) -> dict:
     if args.retriever == "mock":
         config["facts"] = args.facts
     else:
-        config.update(endpoint=args.endpoint, model=args.model, temperature=args.temperature)
+        # the report keeps no credentials; requests still send them
+        netloc = urlsplit(args.endpoint).netloc
+        endpoint = args.endpoint.replace(netloc, netloc.rpartition("@")[2], 1)
+        config.update(endpoint=endpoint, model=args.model, temperature=args.temperature)
     return config
 
 
@@ -414,7 +418,6 @@ def cmd_sim(args, parser) -> int:
                 rollouts=args.rollouts,
                 learning_rate=args.lr,
                 candidates=names,
-                kl_regularized=log.kl_regularized,
             )
             out.write(_dump(meta) + "\n")
             out.writelines(_dump(record.to_json()) + "\n" for record in log.updates)
@@ -532,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="JSON map question -> category")
     p.add_argument("--default-category", default="uncategorized")
     p.add_argument("--output")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_stats)
 

@@ -3,8 +3,6 @@
 from .checker import MIN_RETRIEVES, CheckReport, check_program, count_static_retrieves
 from .formatter import format_program
 from .nodes import (
-    BINARY_OPS,
-    BUILTINS,
     Append,
     Assign,
     Binary,
@@ -16,11 +14,9 @@ from .nodes import (
     Index,
     Interp,
     Literal,
-    ParamRef,
     Program,
     RetrieveCall,
     Return,
-    Span,
     Stmt,
     Unary,
     ValueKind,
@@ -34,6 +30,7 @@ from .parser import (
     ParseError,
     ProgramSyntaxError,
     SignatureMismatch,
+    Span,
     parse_header,
     parse_program,
 )
@@ -41,9 +38,9 @@ from .parser import (
 __all__ = [
     "Append", "Assign", "Binary", "BuiltinCall", "CheckReport",
     "Expr", "ForEach", "ForbiddenConstruct", "FormatString", "If", "Index",
-    "Interp", "Literal", "MIN_RETRIEVES", "ParamRef", "ParseError", "Program",
+    "Interp", "Literal", "MIN_RETRIEVES", "ParseError", "Program",
     "ProgramSyntaxError", "RetrieveCall", "Return", "SignatureMismatch",
-    "Span", "Stmt", "Unary", "ValueKind", "VarRef", "BINARY_OPS", "BUILTINS",
+    "Span", "Stmt", "Unary", "ValueKind", "VarRef",
     "check_program", "count_static_retrieves", "format_program",
     "parse_header", "parse_program", "statement_exprs", "walk_exprs",
     "walk_statements",

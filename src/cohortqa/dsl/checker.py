@@ -5,14 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nodes import (
-    ForEach,
     If,
-    Interp,
-    ParamRef,
     Program,
     RetrieveCall,
     Return,
     Stmt,
+    VarRef,
     statement_exprs,
     walk_exprs,
     walk_statements,
@@ -34,28 +32,26 @@ class CheckReport:
         return self.all_params_used and self.meets_min_retrieves and self.every_path_returns
 
 
-def count_static_retrieves(program: Program) -> int:
-    """Number of retrieve(...) call sites in the AST."""
-    count = 0
+def _exprs(program: Program):
+    """Yield every expression in the program, statement by statement."""
     for stmt in walk_statements(program.body):
         for root in statement_exprs(stmt):
-            for expr in walk_exprs(root):
-                if isinstance(expr, RetrieveCall):
-                    count += 1
-    return count
+            yield from walk_exprs(root)
+
+
+def count_static_retrieves(program: Program) -> int:
+    """Number of retrieve(...) call sites in the AST."""
+    return sum(isinstance(expr, RetrieveCall) for expr in _exprs(program))
 
 
 def _used_names(program: Program) -> set[str]:
+    """Names read anywhere, parameters and locals alike."""
     used: set[str] = set()
-    for stmt in walk_statements(program.body):
-        for root in statement_exprs(stmt):
-            for expr in walk_exprs(root):
-                if isinstance(expr, ParamRef):
-                    used.add(expr.name)
-                elif isinstance(expr, RetrieveCall):
-                    for seg in expr.question.segments:
-                        if isinstance(seg, Interp):
-                            used.add(seg.name)
+    for expr in _exprs(program):
+        if isinstance(expr, VarRef):
+            used.add(expr.name)
+        elif isinstance(expr, RetrieveCall):
+            used.update(expr.question.interpolated_names())
     return used
 
 

@@ -14,7 +14,6 @@ from .nodes import (
     Index,
     Interp,
     Literal,
-    ParamRef,
     Program,
     RetrieveCall,
     Return,
@@ -64,7 +63,7 @@ def _format_stmt(stmt: Stmt, depth: int, lines: list[str]) -> None:
 
 
 def format_expr(expr: Expr) -> str:
-    if isinstance(expr, (ParamRef, VarRef)):
+    if isinstance(expr, VarRef):
         return expr.name
     if isinstance(expr, Literal):
         return _format_literal(expr)
@@ -104,23 +103,21 @@ def _format_literal(lit: Literal) -> str:
     raise TypeError(f"unknown literal kind {lit.kind}")
 
 
-def _quote(text: str, double_braces: bool = False) -> str:
-    body = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    if double_braces:
-        body = body.replace("{", "{{").replace("}", "}}")
-    return f'"{body}"'
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _quote(text: str) -> str:
+    return f'"{_escape(text)}"'
 
 
 def _format_question(question: FormatString) -> str:
-    has_interp = any(isinstance(s, Interp) for s in question.segments)
-    if not has_interp:
+    if not question.interpolated_names():
         return _quote("".join(question.segments))  # type: ignore[arg-type]
     parts = []
     for seg in question.segments:
         if isinstance(seg, Interp):
             parts.append("{" + seg.name + "}")
         else:
-            escaped = seg.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            escaped = escaped.replace("{", "{{").replace("}", "}}")
-            parts.append(escaped)
+            parts.append(_escape(seg).replace("{", "{{").replace("}", "}}"))
     return 'f"' + "".join(parts) + '"'

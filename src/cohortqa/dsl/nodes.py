@@ -1,9 +1,14 @@
-"""Immutable AST for the restricted answer-program language."""
+"""Immutable AST for the restricted answer-program language.
+
+Nodes hold only what the interpreter, the checker and the formatter read:
+no source locations (a ``ParseError`` carries its own) and one name node,
+``VarRef``, for parameters and locals alike.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -22,39 +27,17 @@ class ValueKind(enum.Enum):
             raise KeyError(name) from None
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based source location of a node (line, column)."""
-
-    line: int
-    col: int
-
-    def __str__(self):
-        return f"line {self.line}, col {self.col}"
-
-
-_NO_SPAN = Span(0, 0)
-
-
 # --- Expressions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamRef:
-    name: str
-    span: Span = field(default=_NO_SPAN, compare=False)
-
 
 @dataclass(frozen=True)
 class VarRef:
     name: str
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
 class Literal:
     kind: ValueKind
     value: object
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,17 +61,12 @@ class FormatString:
 class RetrieveCall:
     question: FormatString
     kind: ValueKind
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # "not" | "neg"
     operand: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False)
-
-
-BINARY_OPS = ("and", "or", "==", "!=", "<", "<=", ">", ">=", "+", "-")
 
 
 @dataclass(frozen=True)
@@ -96,27 +74,21 @@ class Binary:
     op: str
     left: "Expr"
     right: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
 class Index:
     base: "Expr"
     index: "Expr"
-    span: Span = field(default=_NO_SPAN, compare=False)
-
-
-BUILTINS = ("len", "all", "any", "unique_count")
 
 
 @dataclass(frozen=True)
 class BuiltinCall:
-    func: str  # one of BUILTINS; unique_count is the `len(set(...))` idiom
+    func: str  # len | all | any | unique_count (the `len(set(...))` idiom)
     args: tuple["Expr", ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
-Expr = Union[ParamRef, VarRef, Literal, RetrieveCall, Unary, Binary, Index, BuiltinCall]
+Expr = Union[VarRef, Literal, RetrieveCall, Unary, Binary, Index, BuiltinCall]
 
 
 # --- Statements ----------------------------------------------------------
@@ -125,14 +97,12 @@ Expr = Union[ParamRef, VarRef, Literal, RetrieveCall, Unary, Binary, Index, Buil
 class Assign:
     name: str
     value: Expr
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
 class Append:
     target: str
     value: Expr
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
@@ -141,7 +111,6 @@ class If:
 
     branches: tuple[tuple[Expr, tuple["Stmt", ...]], ...]
     orelse: tuple["Stmt", ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
@@ -149,13 +118,11 @@ class ForEach:
     loop_var: str
     iterable: Expr
     body: tuple["Stmt", ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 @dataclass(frozen=True)
 class Return:
     value: Expr
-    span: Span = field(default=_NO_SPAN, compare=False)
 
 
 Stmt = Union[Assign, Append, If, ForEach, Return]

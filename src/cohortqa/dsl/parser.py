@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import functools
 import warnings
+from dataclasses import dataclass
 
 from .nodes import (
     Append,
@@ -23,16 +24,25 @@ from .nodes import (
     Index,
     Interp,
     Literal,
-    ParamRef,
     Program,
     RetrieveCall,
     Return,
-    Span,
     Stmt,
     Unary,
     ValueKind,
     VarRef,
 )
+
+
+@dataclass(frozen=True)
+class Span:
+    """1-based source location of a parse error (line, column)."""
+
+    line: int
+    col: int
+
+    def __str__(self):
+        return f"line {self.line}, col {self.col}"
 
 
 class ParseError(ValueError):
@@ -168,7 +178,6 @@ class _Converter:
     """
 
     def __init__(self, param_names: tuple[str, ...]):
-        self.params = set(param_names)
         self.scope = set(param_names)
 
     # -- statements --
@@ -197,9 +206,9 @@ class _Converter:
             raise ForbiddenConstruct("non-name assignment target", _span(node))
         name = node.targets[0].id
         if isinstance(node.value, ast.IfExp):
-            stmt = self._desugar_ifexp(node.value, lambda e: Assign(name, e, _span(node)))
+            stmt = self._desugar_ifexp(node.value, lambda e: Assign(name, e))
         else:
-            stmt = Assign(name, self.convert_expr(node.value), _span(node))
+            stmt = Assign(name, self.convert_expr(node.value))
         self.scope.add(name)
         return stmt
 
@@ -207,15 +216,15 @@ class _Converter:
         if node.value is None:
             raise ForbiddenConstruct("bare return", _span(node))
         if isinstance(node.value, ast.IfExp):
-            return self._desugar_ifexp(node.value, lambda e: Return(e, _span(node)))
-        return Return(self.convert_expr(node.value), _span(node))
+            return self._desugar_ifexp(node.value, Return)
+        return Return(self.convert_expr(node.value))
 
     def _desugar_ifexp(self, node: ast.IfExp, wrap) -> If:
         # `x if c else y` at statement level becomes an if/else statement pair
         cond = self.convert_expr(node.test)
         then = wrap(self.convert_expr(node.body))
         other = wrap(self.convert_expr(node.orelse))
-        return If(branches=((cond, (then,)),), orelse=(other,), span=_span(node))
+        return If(branches=((cond, (then,)),), orelse=(other,))
 
     def _convert_if(self, node: ast.If) -> If:
         branches = []
@@ -231,7 +240,7 @@ class _Converter:
             else:
                 orelse = self.convert_body(rest)
                 current = None
-        return If(branches=tuple(branches), orelse=orelse, span=_span(node))
+        return If(branches=tuple(branches), orelse=orelse)
 
     def _convert_for(self, node: ast.For) -> ForEach:
         if not isinstance(node.target, ast.Name):
@@ -241,7 +250,7 @@ class _Converter:
         iterable = self.convert_expr(node.iter)
         self.scope.add(node.target.id)
         body = self.convert_body(node.body)
-        return ForEach(node.target.id, iterable, body, _span(node))
+        return ForEach(node.target.id, iterable, body)
 
     def _convert_expr_stmt(self, node: ast.Expr) -> Append:
         call = node.value
@@ -256,7 +265,7 @@ class _Converter:
             target = call.func.value.id
             if target not in self.scope:
                 raise ProgramSyntaxError(f"unbound name {target!r}", _span(call))
-            return Append(target, self.convert_expr(call.args[0]), _span(node))
+            return Append(target, self.convert_expr(call.args[0]))
         raise ForbiddenConstruct("bare expression statement", _span(node))
 
     # -- expressions --
@@ -274,7 +283,7 @@ class _Converter:
             op = "and" if isinstance(node.op, ast.And) else "or"
             expr = self.convert_expr(node.values[0])
             for value in node.values[1:]:
-                expr = Binary(op, expr, self.convert_expr(value), _span(node))
+                expr = Binary(op, expr, self.convert_expr(value))
             return expr
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1:
@@ -286,7 +295,6 @@ class _Converter:
                 _CMP_OPS[op_type],
                 self.convert_expr(node.left),
                 self.convert_expr(node.comparators[0]),
-                _span(node),
             )
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Add):
@@ -295,43 +303,39 @@ class _Converter:
                 op = "-"
             else:
                 raise ForbiddenConstruct(f"operator {type(node.op).__name__}", _span(node))
-            return Binary(op, self.convert_expr(node.left), self.convert_expr(node.right), _span(node))
+            return Binary(op, self.convert_expr(node.left), self.convert_expr(node.right))
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.Not):
-                return Unary("not", self.convert_expr(node.operand), _span(node))
+                return Unary("not", self.convert_expr(node.operand))
             if isinstance(node.op, ast.USub):
                 operand = node.operand
                 if isinstance(operand, ast.Constant) and type(operand.value) in (int, float):
-                    return self._number_literal(-operand.value, _span(node))
-                return Unary("neg", self.convert_expr(operand), _span(node))
+                    return self._number_literal(-operand.value)
+                return Unary("neg", self.convert_expr(operand))
             raise ForbiddenConstruct(f"unary {type(node.op).__name__}", _span(node))
         if isinstance(node, ast.Subscript):
-            return Index(
-                self.convert_expr(node.value), self.convert_expr(node.slice), _span(node)
-            )
+            return Index(self.convert_expr(node.value), self.convert_expr(node.slice))
         raise ForbiddenConstruct(type(node).__name__, _span(node))
 
     def _convert_name(self, node: ast.Name) -> Expr:
-        if node.id in self.params:
-            return ParamRef(node.id, _span(node))
         if node.id in self.scope:
-            return VarRef(node.id, _span(node))
+            return VarRef(node.id)
         raise ProgramSyntaxError(f"unbound name {node.id!r}", _span(node))
 
-    def _number_literal(self, value, span: Span) -> Literal:
+    def _number_literal(self, value) -> Literal:
         kind = ValueKind.INT if isinstance(value, int) else ValueKind.FLOAT
-        return Literal(kind, value, span)
+        return Literal(kind, value)
 
     def _convert_constant(self, node: ast.Constant) -> Literal:
         value = node.value
         if isinstance(value, bool):
-            return Literal(ValueKind.BOOL, value, _span(node))
+            return Literal(ValueKind.BOOL, value)
         if isinstance(value, int):
-            return Literal(ValueKind.INT, value, _span(node))
+            return Literal(ValueKind.INT, value)
         if isinstance(value, float):
-            return Literal(ValueKind.FLOAT, value, _span(node))
+            return Literal(ValueKind.FLOAT, value)
         if isinstance(value, str):
-            return Literal(ValueKind.STR, value, _span(node))
+            return Literal(ValueKind.STR, value)
         raise ForbiddenConstruct(f"literal {value!r}", _span(node))
 
     def _convert_list(self, node: ast.List) -> Literal:
@@ -341,7 +345,7 @@ class _Converter:
             if not isinstance(lit, Literal) or lit.kind is ValueKind.LIST:
                 raise ForbiddenConstruct("non-constant list element", _span(elt))
             elements.append(lit.value)
-        return Literal(ValueKind.LIST, tuple(elements), _span(node))
+        return Literal(ValueKind.LIST, tuple(elements))
 
     def _convert_call(self, node: ast.Call) -> Expr:
         if not isinstance(node.func, ast.Name):
@@ -362,14 +366,12 @@ class _Converter:
                 and len(arg.args) == 1
                 and not arg.keywords
             ):
-                return BuiltinCall(
-                    "unique_count", (self.convert_expr(arg.args[0]),), _span(node)
-                )
-            return BuiltinCall("len", (self.convert_expr(arg),), _span(node))
+                return BuiltinCall("unique_count", (self.convert_expr(arg.args[0]),))
+            return BuiltinCall("len", (self.convert_expr(arg),))
         if name in ("all", "any"):
             if len(node.args) != 1:
                 raise ForbiddenConstruct(f"{name} with wrong arity", _span(node))
-            return BuiltinCall(name, (self.convert_expr(node.args[0]),), _span(node))
+            return BuiltinCall(name, (self.convert_expr(node.args[0]),))
         raise ForbiddenConstruct(f"call to {name!r}", _span(node))
 
     def _convert_retrieve(self, node: ast.Call) -> RetrieveCall:
@@ -379,7 +381,7 @@ class _Converter:
         kind_node = node.args[1]
         if not (isinstance(kind_node, ast.Name) and kind_node.id in _KIND_NAMES):
             raise ForbiddenConstruct("retrieve kind must be int/float/str/bool/list", _span(node))
-        return RetrieveCall(question, ValueKind.from_name(kind_node.id), _span(node))
+        return RetrieveCall(question, ValueKind.from_name(kind_node.id))
 
     def _convert_question(self, node: ast.expr) -> FormatString:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):

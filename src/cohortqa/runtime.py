@@ -22,7 +22,6 @@ from .dsl import (
     Index,
     Interp,
     Literal,
-    ParamRef,
     Program,
     RetrieveCall,
     Return,
@@ -32,7 +31,6 @@ from .dsl import (
     VarRef,
 )
 from .retriever import (
-    OUTCOME_ERROR,
     OUTCOME_REJECTED,
     OUTCOME_VALUE,
     Retriever,
@@ -106,12 +104,6 @@ class ExecutionResult:
         return len(self.trace)
 
 
-class UnboundName(KeyError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(name)
-
-
 class _RuntimeFailure(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -144,12 +136,12 @@ def render_value(value) -> str:
 
 
 def render_question(fstring: FormatString, env: Mapping[str, object]) -> str:
-    """Resolve interpolations against env; raises UnboundName on a miss."""
+    """Resolve interpolations against env; a miss is a runtime failure."""
     parts = []
     for seg in fstring.segments:
         if isinstance(seg, Interp):
             if seg.name not in env:
-                raise UnboundName(seg.name)
+                raise _RuntimeFailure(f"unbound name {seg.name!r} in retrieve question")
             parts.append(render_value(env[seg.name]))
         else:
             parts.append(seg)
@@ -243,7 +235,7 @@ class _Interpreter:
 
     def eval(self, expr: Expr):
         self._step()
-        if isinstance(expr, (ParamRef, VarRef)):
+        if isinstance(expr, VarRef):
             return self._lookup(expr.name)
         if isinstance(expr, Literal):
             if expr.kind is ValueKind.LIST:
@@ -266,10 +258,7 @@ class _Interpreter:
     def _eval_retrieve(self, expr: RetrieveCall):
         if len(self.trace) >= self.limits.max_retrieve_calls:
             raise _LimitExceeded(LIMIT_RETRIEVES)
-        try:
-            question = render_question(expr.question, self.env)
-        except UnboundName as exc:
-            raise _RuntimeFailure(f"unbound name {exc.name!r} in retrieve question") from exc
+        question = render_question(expr.question, self.env)
         response = self.retriever.retrieve(RetrieveRequest(question, expr.kind))
         event = RetrieveEvent(
             rendered_question=question,

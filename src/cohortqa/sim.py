@@ -89,7 +89,6 @@ class TrainingLog:
     config: ToyTrainConfig
     updates: list[UpdateRecord] = field(default_factory=list)
     final_probabilities: tuple[float, ...] = ()
-    kl_regularized: bool = False  # omitted by design in the toy
 
 
 def mode_reward(outcome: CohortOutcome, mode: str) -> float:

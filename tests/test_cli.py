@@ -26,7 +26,7 @@ def test_validate_ok(capsys):
 
 
 def test_validate_bad_member(tmp_path, capsys):
-    record = json.loads(open(f"{FIX}/cohorts.jsonl").read().splitlines()[0])
+    record = json.loads(Path(f"{FIX}/cohorts.jsonl").read_text(encoding="utf-8").splitlines()[0])
     record["original"]["question"] = "A completely different question?"
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -313,7 +313,7 @@ def test_bad_counts_are_usage_errors(argv, capsys):
 
 
 def _copies_of_fixture_cohort(path, cohort_ids):
-    cohort = json.loads(open(f"{FIX}/cohorts.jsonl").read())
+    cohort = json.loads(Path(f"{FIX}/cohorts.jsonl").read_text(encoding="utf-8"))
     with open(path, "w") as out:
         for cohort_id in cohort_ids:
             print(json.dumps(dict(cohort, cohort_id=cohort_id)), file=out)
@@ -328,7 +328,7 @@ def _write_batch(path, samples):
 
 
 def _fixture_source(name):
-    return json.loads(open(f"{FIX}/programs/{name}_batch.jsonl").read())["source"]
+    return json.loads(Path(f"{FIX}/programs/{name}_batch.jsonl").read_text(encoding="utf-8"))["source"]
 
 
 def test_eval_parses_each_distinct_source_once_per_cohort(tmp_path, capsys, monkeypatch):

@@ -165,6 +165,20 @@ def test_parse_error_carries_location():
         pytest.fail("expected ForbiddenConstruct")
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("return 0\nwhile True:\n    pass", "forbidden construct: While (line 3, col 5)"),
+        ("for x in [1]:\n    v = missing\nreturn 0", "unbound name 'missing' (line 3, col 13)"),
+        ("return (", "'(' was never closed (line 2, col 12)"),
+    ],
+)
+def test_parse_error_message_names_line_and_column(body, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(body)
+    assert str(excinfo.value) == message
+
+
 # --- formatting and round-trip -------------------------------------------
 
 def test_format_emits_header_and_indent():
@@ -231,6 +245,11 @@ def test_interpolation_counts_as_param_use():
         "return 0"
     )
     assert check_program(program).all_params_used
+
+
+def test_expression_reference_counts_as_param_use():
+    program = parse('a = retrieve(f"Is {X} a?", bool)\nif Y == "b":\n    return 1\nreturn 0')
+    assert check_program(program).unused_params == ()
 
 
 def test_if_without_else_does_not_guarantee_return():

@@ -97,6 +97,21 @@ def test_question_rendering_uses_runtime_values():
     assert result.trace[1].rendered_question == "Is Livia, Julia a pair?"
 
 
+def test_unbound_name_in_retrieve_question_fails_before_the_lookup():
+    p = prog('if X == Y:\n    v = "a"\nq = retrieve(f"Is {v} ok?", bool)\nreturn 0')
+    result = execute(p, {"X": "a", "Y": "b"}, EMPTY)
+    assert result.status == STATUS_FAILURE
+    assert result.failure_reason == "unbound name 'v' in retrieve question"
+    assert result.trace == ()
+
+
+def test_unbound_name_in_expression_fails():
+    p = prog("if X == Y:\n    v = 1\nreturn v")
+    result = execute(p, {"X": "a", "Y": "b"}, EMPTY)
+    assert result.status == STATUS_FAILURE
+    assert result.failure_reason == "unbound name 'v'"
+
+
 def test_render_value_canonical_forms():
     assert render_value(True) == "true"
     assert render_value(False) == "false"

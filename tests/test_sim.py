@@ -199,7 +199,6 @@ def test_training_matches_reference_loop(mode, rollouts, program_pool, sim_cohor
     # exact equality: the log must not move by a single bit
     assert [u.to_json() for u in log.updates] == records
     assert log.final_probabilities == finals
-    assert not log.kl_regularized
 
 
 def test_run_cohort_once_per_program_cohort_pair(program_pool, sim_cohorts, fact_retriever, monkeypatch):
