@@ -157,7 +157,6 @@ def cmd_validate(args, parser) -> int:
                         for name, flag in (
                             ("template-match", member.template_match),
                             ("gold-range", member.gold_in_range),
-                            ("binding-keys", member.bindings_match),
                         )
                         if not flag
                     ]
@@ -392,6 +391,14 @@ def cmd_sim(args, parser) -> int:
     cohorts = load_cohorts(args.cohorts)
     if not cohorts:
         raise SchemaError("no cohorts", path=args.cohorts)
+    # the pool is parsed against the first cohort's header, so every cohort
+    # must take the same parameters, as run_cohort requires
+    params = cohorts[0].template.parameter_names
+    for cohort in cohorts:
+        if cohort.template.parameter_names != params:
+            raise SchemaError(
+                f"cohort {cohort.cohort_id!r} params {list(cohort.template.parameter_names)} "
+                f"do not match the first cohort's params {list(params)}", path=args.cohorts)
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
     header = cohorts[0].template.function_header
     candidates = list(read_jsonl(

@@ -36,7 +36,7 @@ class SchemaError(ValueError):
         super().__init__(f"{prefix}{message}{suffix}")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict, int], T] | None = None,
+def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
                required: tuple[str, ...] = ()) -> Iterator[T]:
     """Yield `parse(record, line)` for each JSON object line of a file.
 
@@ -55,7 +55,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T] | None = None,
                 for key in required:
                     if key not in record:
                         raise SchemaError(f"missing key {key!r}", key)
-                item = record if parse is None else parse(record, line)
+                item = parse(record, line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"malformed JSON: {exc.msg}", line=line, path=path) from exc
             except SchemaError as exc:
@@ -128,6 +128,9 @@ class CohortInstance:
                 f"expected {NUM_VARIANTS} variants, got {len(self.variants)}",
                 field_path="variants",
             )
+        _check_binding_keys(self.template, self.original.bindings, "original.bindings")
+        for i, variant in enumerate(self.variants):
+            _check_binding_keys(self.template, variant.bindings, f"variants[{i}].bindings")
 
     @property
     def members(self) -> tuple[QuestionVariant, ...]:
@@ -139,11 +142,10 @@ class CohortInstance:
 class MemberReport:
     template_match: bool
     gold_in_range: bool
-    bindings_match: bool
 
     @property
     def ok(self) -> bool:
-        return self.template_match and self.gold_in_range and self.bindings_match
+        return self.template_match and self.gold_in_range
 
 
 @dataclass
@@ -172,15 +174,18 @@ def _header_param_names(header: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _check_binding_keys(template: AbstractionTemplate, bindings: Mapping[str, str],
+                        field_path: str) -> None:
+    if set(bindings) != set(template.parameter_names):
+        raise SchemaError(
+            f"binding keys {sorted(bindings)} != parameters {sorted(template.parameter_names)}",
+            field_path=field_path,
+        )
+
+
 def instantiate_template(template: AbstractionTemplate, bindings: Mapping[str, str]) -> str:
     """Substitute every {Placeholder} in the masked question with its binding."""
-    keys = set(bindings)
-    declared = set(template.parameter_names)
-    if keys != declared:
-        raise SchemaError(
-            f"binding keys {sorted(keys)} != parameters {sorted(declared)}",
-            field_path="bindings",
-        )
+    _check_binding_keys(template, bindings, "bindings")
     return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), template.masked_question)
 
 
@@ -191,19 +196,14 @@ def normalize_question(text: str) -> str:
 
 
 def validate_cohort(cohort: CohortInstance) -> ValidationReport:
-    """Check template-match, gold range, and binding keys for every member."""
+    """Check template-match and gold range for every member; load checks binding keys."""
     report = ValidationReport(cohort_id=cohort.cohort_id)
-    declared = set(cohort.template.parameter_names)
     n_options = len(cohort.template.options)
     for member in cohort.members:
-        bindings_match = set(member.bindings) == declared
-        if bindings_match:
-            expected = instantiate_template(cohort.template, member.bindings)
-            template_match = normalize_question(expected) == normalize_question(member.question_text)
-        else:
-            template_match = False
+        expected = instantiate_template(cohort.template, member.bindings)
+        template_match = normalize_question(expected) == normalize_question(member.question_text)
         gold_in_range = 0 <= member.gold_index < n_options
-        report.members.append(MemberReport(template_match, gold_in_range, bindings_match))
+        report.members.append(MemberReport(template_match, gold_in_range))
     return report
 
 
@@ -278,10 +278,12 @@ def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
         _parse_member(v, template.options, f"variants[{i}]", line)
         for i, v in enumerate(raw_variants)
     )
-    # the variant count is checked above, so CohortInstance cannot reject it
-    return CohortInstance(
-        cohort_id=str(obj["cohort_id"]), template=template, original=original, variants=variants
-    )
+    try:
+        return CohortInstance(
+            cohort_id=str(obj["cohort_id"]), template=template, original=original, variants=variants
+        )
+    except SchemaError as exc:  # binding keys that differ from the parameters
+        raise SchemaError(exc.message, exc.field_path, line) from exc
 
 
 def load_cohorts(path: str | Path) -> list[CohortInstance]:

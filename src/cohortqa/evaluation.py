@@ -20,6 +20,8 @@ LENIENT = "lenient"
 
 _THRESHOLDS = {STRICT: 5, LENIENT: 4}
 
+Z_95 = 1.96  # normal quantile of the Wald 95% halfwidths
+
 
 @dataclass(frozen=True)
 class EvalCriterion:
@@ -43,8 +45,6 @@ class MemberOutcome:
     answered_index: Optional[int]
     correct: bool
     rejected: bool
-    dynamic_calls: int
-    status: str
 
     @classmethod
     def from_result(cls, result: ExecutionResult, gold_index: int) -> "MemberOutcome":
@@ -53,8 +53,6 @@ class MemberOutcome:
             answered_index=answered,
             correct=result.answered and result.answer == gold_index,
             rejected=result.was_rejected,
-            dynamic_calls=result.dynamic_retrieve_count,
-            status=result.status,
         )
 
 
@@ -157,10 +155,9 @@ def run_cohort(
     cohort: CohortInstance,
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
-    jobs: int = 1,
 ) -> CohortOutcome:
     """Execute the program on all 6 members: run_cohorts over one pair."""
-    return next(run_cohorts([(program, cohort)], retriever, limits, jobs))
+    return next(run_cohorts([(program, cohort)], retriever, limits))
 
 
 def apply_criterion(outcome: CohortOutcome, criterion: EvalCriterion) -> bool:
@@ -173,8 +170,8 @@ def vote(samples: Sequence[CohortOutcome], cohort: CohortInstance) -> CohortOutc
     Failures are excluded from voting; a tie or all-failures member counts
     as incorrect. A member is rejected if any sample's execution on it was
     rejected, and the consensus n_rejected counts those members, so it
-    always equals sum(m.rejected for m in members). n_calls (and each
-    member's dynamic_calls) take the max over samples.
+    always equals sum(m.rejected for m in members). n_calls takes the max
+    over samples.
     """
     if not samples:
         raise ValueError("need at least one program")
@@ -191,8 +188,6 @@ def vote(samples: Sequence[CohortOutcome], cohort: CohortInstance) -> CohortOutc
                 answered_index=consensus,
                 correct=consensus is not None and consensus == member.gold_index,
                 rejected=any(s.members[index].rejected for s in samples),
-                dynamic_calls=max(s.members[index].dynamic_calls for s in samples),
-                status="consensus",
             )
         )
     members = tuple(members)
@@ -209,11 +204,10 @@ def self_consistency(
     cohort: CohortInstance,
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
-    jobs: int = 1,
 ) -> CohortOutcome:
     """Run k sampled programs on the cohort, then `vote` over them."""
     pairs = [(program, cohort) for program in programs]
-    return vote(list(run_cohorts(pairs, retriever, limits, jobs)), cohort)
+    return vote(list(run_cohorts(pairs, retriever, limits)), cohort)
 
 
 def _majority(votes: Counter) -> Optional[int]:
@@ -239,26 +233,25 @@ class DomainStats:
 class AccuracyReport:
     per_domain: Mapping[str, DomainStats]
     overall: DomainStats
-    z: float = 1.96
 
     def to_json(self) -> dict:
         return {
-            "z": self.z,
+            "z": Z_95,
             "overall": self.overall.to_json(),
             "per_domain": {d: s.to_json() for d, s in sorted(self.per_domain.items())},
         }
 
 
-def wald_halfwidth(pass_rate: float, n: int, z: float = 1.96) -> float:
-    return z * math.sqrt(pass_rate * (1.0 - pass_rate) / n)
+def wald_halfwidth(pass_rate: float, n: int) -> float:
+    return Z_95 * math.sqrt(pass_rate * (1.0 - pass_rate) / n)
 
 
-def _stats(passes: int, n: int, z: float) -> DomainStats:
+def _stats(passes: int, n: int) -> DomainStats:
     rate = passes / n
-    return DomainStats(pass_rate=rate, ci_halfwidth=wald_halfwidth(rate, n, z), n=n)
+    return DomainStats(pass_rate=rate, ci_halfwidth=wald_halfwidth(rate, n), n=n)
 
 
-def aggregate(outcomes: Iterable[tuple[str, bool]], z: float = 1.96) -> AccuracyReport:
+def aggregate(outcomes: Iterable[tuple[str, bool]]) -> AccuracyReport:
     """Per-domain and overall pass rates with Wald 95% halfwidths."""
     passes: Counter = Counter()
     totals: Counter = Counter()
@@ -267,11 +260,9 @@ def aggregate(outcomes: Iterable[tuple[str, bool]], z: float = 1.96) -> Accuracy
         passes[domain] += bool(passed)
     if not totals:
         raise ValueError("no outcomes to aggregate")
-    per_domain = {d: _stats(passes[d], totals[d], z) for d in totals}
+    per_domain = {d: _stats(passes[d], totals[d]) for d in totals}
     return AccuracyReport(
-        per_domain=per_domain,
-        overall=_stats(sum(passes.values()), sum(totals.values()), z),
-        z=z,
+        per_domain=per_domain, overall=_stats(sum(passes.values()), sum(totals.values()))
     )
 
 
@@ -299,21 +290,13 @@ class RejectionStats:
                 "overall": {"rejected": rejected, "total": total, "rate": rejected / total}}
 
 
-def rejection_stats(
-    traces: Iterable[RetrieveEvent | dict],
-    label: Callable[[str], str],
-) -> RejectionStats:
-    """Per-category rejection rates over a stream of retrieve events."""
+def rejection_stats(traces: Iterable[dict], label: Callable[[str], str]) -> RejectionStats:
+    """Per-category rejection rates over the JSON form of retrieve events."""
     counts: dict[str, list[int]] = {}
     for event in traces:
-        if isinstance(event, dict):
-            question, outcome = event["q"], event["outcome"]
-        else:
-            question, outcome = event.rendered_question, event.outcome
-        category = label(question)
-        bucket = counts.setdefault(category, [0, 0])
+        bucket = counts.setdefault(label(event["q"]), [0, 0])
         bucket[1] += 1
-        bucket[0] += outcome == OUTCOME_REJECTED
+        bucket[0] += event["outcome"] == OUTCOME_REJECTED
     if not counts:
         raise ValueError("no events")
     return RejectionStats(per_category={c: (r, t) for c, (r, t) in counts.items()})

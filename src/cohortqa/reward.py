@@ -1,5 +1,8 @@
 """Composite cohort reward (accuracy + retrieval usage + rejection penalty)
-and group-relative advantage normalization."""
+and group-relative advantage normalization.
+
+The component functions take counts that a CohortExecutionSummary has
+already range-checked."""
 
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ ACCURACY_PER_QUESTION = 0.2
 COHORT_GATE_MIN_CORRECT = 4
 RETRIEVAL_BONUS = 0.6
 REJECTION_PENALTY_PER_QUESTION = 0.1
+ADVANTAGE_EPSILON = 1e-8  # keeps a group of equal rewards at zero advantages
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,6 @@ class RewardBreakdown:
 
 def accuracy_reward(n_correct: int, variant: str = VARIANT_NORMAL) -> float:
     """0.2 per correct member; the cohort variant gates on >= 4 of 6 correct."""
-    if not 0 <= n_correct <= COHORT_SIZE:
-        raise ValueError(f"n_correct {n_correct} outside [0, {COHORT_SIZE}]")
     if variant == VARIANT_COHORT and n_correct < COHORT_GATE_MIN_CORRECT:
         return 0.0
     if variant not in (VARIANT_COHORT, VARIANT_NORMAL):
@@ -64,8 +66,6 @@ def accuracy_reward(n_correct: int, variant: str = VARIANT_NORMAL) -> float:
 
 def retrieval_reward(n_calls: int) -> float:
     """-0.6 for zero calls, 0 for one, +0.6 for more than one."""
-    if n_calls < 0:
-        raise ValueError(f"n_calls {n_calls} negative")
     if n_calls == 0:
         return -RETRIEVAL_BONUS
     if n_calls == 1:
@@ -75,8 +75,6 @@ def retrieval_reward(n_calls: int) -> float:
 
 def rejection_penalty(n_rejected: int) -> float:
     """-0.1 per cohort member whose execution had a rejected retrieve."""
-    if not 0 <= n_rejected <= COHORT_SIZE:
-        raise ValueError(f"n_rejected {n_rejected} outside [0, {COHORT_SIZE}]")
     return -REJECTION_PENALTY_PER_QUESTION * n_rejected
 
 
@@ -97,7 +95,6 @@ def cohort_reward(summary: CohortExecutionSummary, variant: str = VARIANT_NORMAL
 class GroupAdvantages:
     rewards: tuple[float, ...]
     advantages: tuple[float, ...]
-    epsilon: float
 
 
 def _left_sum(values: Sequence[float]) -> float:
@@ -112,11 +109,11 @@ def _left_sum(values: Sequence[float]) -> float:
     return total
 
 
-def group_advantages(rewards: Sequence[float], epsilon: float = 1e-8) -> GroupAdvantages:
-    """a_i = (r_i - mean) / (std + epsilon), population std.
+def group_advantages(rewards: Sequence[float]) -> GroupAdvantages:
+    """a_i = (r_i - mean) / (std + ADVANTAGE_EPSILON), population std.
 
     Plain floats, in numpy's order of operations: for groups under 8 the
-    result equals `(arr - arr.mean()) / (arr.std() + epsilon)` bit for bit;
+    result equals `(arr - arr.mean()) / (arr.std() + 1e-8)` bit for bit;
     larger groups may differ in the last bits, because numpy then sums
     pairwise.
     """
@@ -126,9 +123,5 @@ def group_advantages(rewards: Sequence[float], epsilon: float = 1e-8) -> GroupAd
     n = len(values)
     mean = _left_sum(values) / n
     centered = [value - mean for value in values]
-    scale = math.sqrt(_left_sum([c * c for c in centered]) / n) + epsilon
-    return GroupAdvantages(
-        rewards=values,
-        advantages=tuple(c / scale for c in centered),
-        epsilon=epsilon,
-    )
+    scale = math.sqrt(_left_sum([c * c for c in centered]) / n) + ADVANTAGE_EPSILON
+    return GroupAdvantages(rewards=values, advantages=tuple(c / scale for c in centered))

@@ -37,19 +37,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-@dataclass
-class ToyPolicy:
-    logits: np.ndarray
-
-    @classmethod
-    def uniform(cls, size: int) -> "ToyPolicy":
-        return cls(logits=np.zeros(size))
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return softmax(self.logits)
-
-
 @dataclass(frozen=True)
 class ToyTrainConfig:
     rollouts_per_update: int = 5
@@ -57,7 +44,6 @@ class ToyTrainConfig:
     learning_rate: float = 0.5
     mode: str = MODE_COHORT
     seed: int = 0
-    advantage_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.rollouts_per_update < 2:
@@ -86,7 +72,6 @@ class UpdateRecord:
 
 @dataclass
 class TrainingLog:
-    config: ToyTrainConfig
     updates: list[UpdateRecord] = field(default_factory=list)
     final_probabilities: tuple[float, ...] = ()
 
@@ -143,12 +128,12 @@ def run_toy_training(
     if not cohorts:
         raise ValueError("empty cohort list")
     rng = np.random.default_rng(config.seed)
-    policy = ToyPolicy.uniform(len(pool))
-    log = TrainingLog(config=config)
+    logits = np.zeros(len(pool))  # the uniform policy
+    log = TrainingLog()
     # deterministic retriever => rewards are pure in (program, cohort); the
     # outcome itself is not kept once its reward is known
     reward_cache: dict[tuple[int, int], float] = {}
-    probs = policy.probabilities
+    probs = softmax(logits)
 
     for update_index in range(config.updates):
         cohort_index = update_index % len(cohorts)
@@ -161,11 +146,9 @@ def run_toy_training(
                 outcome = run_cohort(pool[program_index], cohorts[cohort_index], retriever, limits)
                 reward = reward_cache[key] = mode_reward(outcome, config.mode)
             rewards.append(reward)
-        group = group_advantages(rewards, epsilon=config.advantage_epsilon)
-        policy.logits = policy_gradient_step(
-            policy.logits, sampled, group.advantages, config.learning_rate, probs
-        )
-        probs = policy.probabilities  # the next update's sampling distribution
+        group = group_advantages(rewards)
+        logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
+        probs = softmax(logits)  # the next update's sampling distribution
         log.updates.append(
             UpdateRecord(
                 cohort_index=cohort_index,

@@ -507,3 +507,84 @@ def test_report_on_a_json_list(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"report: {path}: not a JSON object\n"
+
+
+# each command that loads cohorts, with its other inputs
+_LOADS_COHORTS = {
+    "validate": lambda path: ["validate", path],
+    "eval": lambda path: ["eval", "--cohorts", path, "--facts", f"{FIX}/facts.jsonl",
+                          "--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
+    "exec": lambda path: ["exec", "--cohorts", path, "--facts", f"{FIX}/facts.jsonl",
+                          "--program", f"{FIX}/programs/conjunction.py",
+                          "--cohort-id", "hotpotqa-film-0001", "--member", "3"],
+    "sim": lambda path: ["sim", "--cohorts", path, "--facts", f"{FIX}/facts.jsonl",
+                         "--pool", f"{FIX}/pool.jsonl", "--updates", "3"],
+}
+
+
+@pytest.mark.parametrize("command", _LOADS_COHORTS)
+def test_binding_keys_that_differ_from_the_parameters_fail_at_load(command, tmp_path, capsys):
+    record = json.loads(_first_line(f"{FIX}/cohorts.jsonl"))
+    del record["variants"][2]["bindings"]["Film1"]
+    path = tmp_path / "cohorts.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *_LOADS_COHORTS[command](str(path)))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"{command}: {path}: line 1: binding keys ['Country', 'DocumentaryType', 'Film2'] "
+        "!= parameters ['Country', 'DocumentaryType', 'Film1', 'Film2'] "
+        "(at variants[2].bindings)\n"
+    )
+
+
+def _xy_cohort(cohort_id: str) -> dict:
+    def member(x: str, y: str) -> dict:
+        return {"bindings": {"X": x, "Y": y}, "question": f"Is {x} bigger than {y}?", "gold": 0}
+
+    return {
+        "cohort_id": cohort_id, "domain": "other", "masked_question": "Is {X} bigger than {Y}?",
+        "parameters": ["X", "Y"], "options": ["No", "Yes"],
+        "function_header": "def answer(X: str, Y: str) -> int",
+        "original": member("a0", "b0"), "variants": [member(f"a{i}", f"b{i}") for i in range(1, 6)],
+    }
+
+
+def test_sim_rejects_cohorts_with_different_parameters(tmp_path, capsys):
+    path = tmp_path / "cohorts.jsonl"
+    path.write_text(_first_line(f"{FIX}/sim_cohorts.jsonl") + "\n"
+                    + json.dumps(_xy_cohort("xy-1")) + "\n", encoding="utf-8")
+    log = tmp_path / "log.jsonl"
+    code, out, err = run(capsys, "sim", "--cohorts", str(path), "--facts", f"{FIX}/facts.jsonl",
+                         "--pool", f"{FIX}/pool.jsonl", "--updates", "3", "--output", str(log))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"sim: {path}: cohort 'xy-1' params ['X', 'Y'] do not match the first cohort's "
+        "params ['Film1', 'Film2', 'DocumentaryType', 'Country']\n"
+    )
+    assert not log.exists()
+
+
+def test_report_constants_are_pinned(tmp_path, capsys):
+    import numpy as np
+
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "eval", "--cohorts", f"{FIX}/cohorts.jsonl",
+                     "--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+                     "--facts", f"{FIX}/facts.jsonl", "--no-timestamp", "--output", str(report))
+    assert code == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["accuracy"]["z"] == 1.96
+
+    log = tmp_path / "log.jsonl"
+    code, _, _ = run(capsys, "sim", "--cohorts", f"{FIX}/sim_cohorts.jsonl",
+                     "--facts", f"{FIX}/facts.jsonl", "--pool", f"{FIX}/pool.jsonl",
+                     "--updates", "20", "--no-timestamp", "--output", str(log))
+    assert code == 0
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(records) == 20
+    for record in records:
+        rewards = np.asarray(record["rewards"])
+        # exact: group advantages use epsilon 1e-8 and match numpy below 8 rollouts
+        expected = ((rewards - rewards.mean()) / (rewards.std() + 1e-8)).tolist()
+        assert record["advantages"] == expected

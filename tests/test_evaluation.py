@@ -110,8 +110,8 @@ def test_run_cohort_signature_mismatch_raises():
 
 
 def test_run_cohort_parallel_matches_serial():
-    serial = run_cohort(LOOKUP, _cohort(), _retr(missing=("Zeus",)), jobs=1)
-    parallel = run_cohort(LOOKUP, _cohort(), _retr(missing=("Zeus",)), jobs=4)
+    serial = run_cohort(LOOKUP, _cohort(), _retr(missing=("Zeus",)))
+    [parallel] = run_cohorts([(LOOKUP, _cohort())], _retr(missing=("Zeus",)), jobs=4)
     assert serial.members == parallel.members
     assert serial.summary == parallel.summary
 
@@ -287,7 +287,7 @@ def test_rejection_stats_from_dicts():
 
 def test_rejection_stats_from_trace_events():
     outcome = run_cohort(LOOKUP, _cohort(), _retr(missing=("Apollo",)))
-    events = [e for trace in outcome.traces for e in trace]
+    events = [e.to_json() for trace in outcome.traces for e in trace]
     stats = rejection_stats(events, lambda q: "all")
     assert stats.per_category["all"] == (2, 12)
 
