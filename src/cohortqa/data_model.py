@@ -16,6 +16,8 @@ KNOWN_DOMAINS = ("arc-challenge", "arc-easy", "csqa", "strategyqa", "hotpotqa", 
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9_]*)\}")
 
+_TRAILING = string.punctuation + " "  # what normalize_question strips from the end
+
 T = TypeVar("T")
 
 # one decoder for every line: json.loads re-checks its arguments on each call
@@ -141,11 +143,10 @@ class CohortInstance:
 @dataclass
 class MemberReport:
     template_match: bool
-    gold_in_range: bool
 
     @property
     def ok(self) -> bool:
-        return self.template_match and self.gold_in_range
+        return self.template_match
 
 
 @dataclass
@@ -191,34 +192,32 @@ def instantiate_template(template: AbstractionTemplate, bindings: Mapping[str, s
 
 def normalize_question(text: str) -> str:
     """Collapse whitespace runs and drop trailing punctuation for comparisons."""
-    collapsed = " ".join(text.split())
-    return collapsed.rstrip(string.punctuation + " ")
+    return " ".join(text.split()).rstrip(_TRAILING)
 
 
 def validate_cohort(cohort: CohortInstance) -> ValidationReport:
-    """Check template-match and gold range for every member; load checks binding keys."""
+    """Check template-match for every member; load checks binding keys and gold range."""
     report = ValidationReport(cohort_id=cohort.cohort_id)
-    n_options = len(cohort.template.options)
     for member in cohort.members:
         expected = instantiate_template(cohort.template, member.bindings)
         template_match = normalize_question(expected) == normalize_question(member.question_text)
-        gold_in_range = 0 <= member.gold_index < n_options
-        report.members.append(MemberReport(template_match, gold_in_range))
+        report.members.append(MemberReport(template_match))
     return report
 
 
-def _gold_to_index(gold, options: tuple[str, ...], line: int) -> int:
+def _gold_to_index(gold, options: tuple[str, ...], field_path: str, line: int) -> int:
     """Accept either an option index or an answer letter ('A', 'B', ...)."""
     if isinstance(gold, bool):
-        raise SchemaError("gold must be an index or letter, not a bool", "gold", line)
+        raise SchemaError("gold must be an index or letter, not a bool", field_path, line)
     if isinstance(gold, int):
         index = gold
     elif isinstance(gold, str) and len(gold) == 1 and gold.upper() in string.ascii_uppercase:
         index = string.ascii_uppercase.index(gold.upper())
     else:
-        raise SchemaError(f"unrecognized gold answer {gold!r}", "gold", line)
+        raise SchemaError(f"unrecognized gold answer {gold!r}", field_path, line)
     if not 0 <= index < len(options):
-        raise SchemaError(f"gold index {index} out of range for {len(options)} options", "gold", line)
+        raise SchemaError(f"gold index {index} out of range for {len(options)} options",
+                          field_path, line)
     return index
 
 
@@ -235,7 +234,7 @@ def _parse_member(obj: dict, options: tuple[str, ...], field_path: str, line: in
         raise SchemaError("bindings must map strings to strings", f"{field_path}.bindings", line)
     if not isinstance(obj["question"], str):
         raise SchemaError("question must be a string", f"{field_path}.question", line)
-    gold = _gold_to_index(obj["gold"], options, line)
+    gold = _gold_to_index(obj["gold"], options, f"{field_path}.gold", line)
     return QuestionVariant(bindings=dict(bindings), question_text=obj["question"], gold_index=gold)
 
 

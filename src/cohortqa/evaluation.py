@@ -7,13 +7,13 @@ import math
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .data_model import CohortInstance
 from .dsl import Program
 from .retriever import OUTCOME_REJECTED
 from .reward import CohortExecutionSummary
-from .runtime import ExecutionLimits, ExecutionResult, RetrieveEvent, execute
+from .runtime import STATUS_ANSWERED, ExecutionLimits, ExecutionResult, RetrieveEvent, execute
 
 STRICT = "strict"
 LENIENT = "lenient"
@@ -40,20 +40,16 @@ STRICT_CRITERION = EvalCriterion(STRICT)
 LENIENT_CRITERION = EvalCriterion(LENIENT)
 
 
-@dataclass(frozen=True)
-class MemberOutcome:
+class MemberOutcome(NamedTuple):
     answered_index: Optional[int]
     correct: bool
     rejected: bool
 
     @classmethod
     def from_result(cls, result: ExecutionResult, gold_index: int) -> "MemberOutcome":
-        answered = result.answer if result.answered else None
-        return cls(
-            answered_index=answered,
-            correct=result.answered and result.answer == gold_index,
-            rejected=result.was_rejected,
-        )
+        if result.status == STATUS_ANSWERED:
+            return cls(result.answer, result.answer == gold_index, result.was_rejected)
+        return cls(None, False, result.was_rejected)
 
 
 @dataclass(frozen=True)

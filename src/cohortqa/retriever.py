@@ -12,7 +12,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 from . import data_model
 from .data_model import SchemaError, read_jsonl
@@ -26,21 +26,19 @@ SIMPLE = "simple"
 COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
-class RetrieveRequest:
+class RetrieveRequest(NamedTuple):
     question: str
     kind: ValueKind
 
 
-@dataclass(frozen=True)
-class RetrieveResponse:
+class RetrieveResponse(NamedTuple):
     outcome: str  # value | rejected | error
     value: object = None
     reason: str = ""
 
     @classmethod
     def of_value(cls, value) -> "RetrieveResponse":
-        return cls(OUTCOME_VALUE, value=value)
+        return cls(OUTCOME_VALUE, value)
 
     @classmethod
     def rejected(cls) -> "RetrieveResponse":
@@ -115,8 +113,7 @@ def classify_complexity(question: str) -> str:
 
 # --- mock backend --------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactEntry:
+class FactEntry(NamedTuple):
     kind: ValueKind
     value: object
 

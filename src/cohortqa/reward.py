@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .data_model import COHORT_SIZE
 
@@ -91,8 +91,7 @@ def cohort_reward(summary: CohortExecutionSummary, variant: str = VARIANT_NORMAL
     )
 
 
-@dataclass(frozen=True)
-class GroupAdvantages:
+class GroupAdvantages(NamedTuple):
     rewards: tuple[float, ...]
     advantages: tuple[float, ...]
 

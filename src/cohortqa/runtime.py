@@ -8,7 +8,7 @@ retrieve calls, interpreter steps, and list sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .dsl import (
     Append,
@@ -20,7 +20,6 @@ from .dsl import (
     FormatString,
     If,
     Index,
-    Interp,
     Literal,
     Program,
     RetrieveCall,
@@ -65,8 +64,7 @@ class ExecutionLimits:
             raise ValueError("all limits must be strictly positive")
 
 
-@dataclass(frozen=True)
-class RetrieveEvent:
+class RetrieveEvent(NamedTuple):
     rendered_question: str
     requested_kind: ValueKind
     outcome: str  # value | rejected | error
@@ -86,8 +84,7 @@ class RetrieveEvent:
         return obj
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     status: str  # answered | runtime_failure | limit_exceeded
     answer: Optional[int] = None
     failure_reason: str = ""
@@ -139,12 +136,12 @@ def render_question(fstring: FormatString, env: Mapping[str, object]) -> str:
     """Resolve interpolations against env; a miss is a runtime failure."""
     parts = []
     for seg in fstring.segments:
-        if isinstance(seg, Interp):
-            if seg.name not in env:
-                raise _RuntimeFailure(f"unbound name {seg.name!r} in retrieve question")
+        if seg.__class__ is str:
+            parts.append(seg)
+        elif seg.name in env:
             parts.append(render_value(env[seg.name]))
         else:
-            parts.append(seg)
+            raise _RuntimeFailure(f"unbound name {seg.name!r} in retrieve question")
     return "".join(parts)
 
 
@@ -170,12 +167,8 @@ class _Interpreter:
         self.env: dict[str, object] = {}
         self.trace: list[RetrieveEvent] = []
         self.was_rejected = False
-        self.steps = 0
-
-    def _step(self):
-        self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise _LimitExceeded(LIMIT_STEPS)
+        self.steps = 0  # one per statement and per expression
+        self.max_steps = limits.max_steps
 
     # -- statements --
 
@@ -184,7 +177,9 @@ class _Interpreter:
             self.exec_stmt(stmt)
 
     def exec_stmt(self, stmt: Stmt):
-        self._step()
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise _LimitExceeded(LIMIT_STEPS)
         if isinstance(stmt, Assign):
             self.env[stmt.name] = self.eval(stmt.value)
         elif isinstance(stmt, Append):
@@ -234,7 +229,9 @@ class _Interpreter:
         return value
 
     def eval(self, expr: Expr):
-        self._step()
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise _LimitExceeded(LIMIT_STEPS)
         if isinstance(expr, VarRef):
             return self._lookup(expr.name)
         if isinstance(expr, Literal):
@@ -259,27 +256,21 @@ class _Interpreter:
         if len(self.trace) >= self.limits.max_retrieve_calls:
             raise _LimitExceeded(LIMIT_RETRIEVES)
         question = render_question(expr.question, self.env)
-        response = self.retriever.retrieve(RetrieveRequest(question, expr.kind))
-        event = RetrieveEvent(
-            rendered_question=question,
-            requested_kind=expr.kind,
-            outcome=response.outcome,
-            value=response.value,
-            reason=response.reason,
-        )
-        self.trace.append(event)
-        if response.outcome == OUTCOME_VALUE:
-            value = response.value
-            if expr.kind is ValueKind.LIST:
+        kind = expr.kind
+        response = self.retriever.retrieve(RetrieveRequest(question, kind))
+        self.trace.append(RetrieveEvent(question, kind, *response))
+        outcome, value, reason = response
+        if outcome == OUTCOME_VALUE:
+            if kind is ValueKind.LIST:
                 value = list(value)
                 if len(value) > self.limits.max_list_len:
                     raise _LimitExceeded(LIMIT_LIST)
             return value
-        if response.outcome == OUTCOME_REJECTED:
+        if outcome == OUTCOME_REJECTED:
             self.was_rejected = True
-            default = KIND_DEFAULTS[expr.kind]
-            return list(default) if expr.kind is ValueKind.LIST else default
-        raise _RuntimeFailure(f"retriever backend error: {response.reason}")
+            default = KIND_DEFAULTS[kind]
+            return list(default) if kind is ValueKind.LIST else default
+        raise _RuntimeFailure(f"retriever backend error: {reason}")
 
     def _eval_binary(self, expr: Binary):
         op = expr.op
@@ -342,32 +333,26 @@ def execute(
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> ExecutionResult:
     """Run one program against one member's bindings."""
-    missing = [name for name in program.param_names if name not in bindings]
+    missing = [name for name, _ in program.params if name not in bindings]
     if missing:
         raise ValueError(f"bindings missing parameters {missing}")
     interp = _Interpreter(retriever, limits)
-
-    def finish(status, **kwargs) -> ExecutionResult:
-        return ExecutionResult(
-            status=status,
-            was_rejected=interp.was_rejected,
-            trace=tuple(interp.trace),
-            **kwargs,
-        )
-
+    status, answer, reason, which = STATUS_FAILURE, None, "", ""
     try:
         for name, kind in program.params:
             interp.env[name] = _coerce_binding(kind, bindings[name])
         interp.exec_body(program.body)
+        reason = "control flow ended without return"
     except _ReturnSignal as signal:
         value = signal.value
         if isinstance(value, bool) or not isinstance(value, int):
-            return finish(STATUS_FAILURE, failure_reason=f"non-integer return: {value!r}")
-        if value < 0:
-            return finish(STATUS_FAILURE, failure_reason=f"negative answer index {value}")
-        return finish(STATUS_ANSWERED, answer=value)
+            reason = f"non-integer return: {value!r}"
+        elif value < 0:
+            reason = f"negative answer index {value}"
+        else:
+            status, answer = STATUS_ANSWERED, value
     except _RuntimeFailure as exc:
-        return finish(STATUS_FAILURE, failure_reason=exc.reason)
+        reason = exc.reason
     except _LimitExceeded as exc:
-        return finish(STATUS_LIMIT, limit_which=exc.which)
-    return finish(STATUS_FAILURE, failure_reason="control flow ended without return")
+        status, which = STATUS_LIMIT, exc.which
+    return ExecutionResult(status, answer, reason, which, interp.was_rejected, tuple(interp.trace))

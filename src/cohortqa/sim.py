@@ -5,7 +5,7 @@ suppresses shortcut programs that only fit the original question."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +52,7 @@ class ToyTrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
+class UpdateRecord(NamedTuple):
     cohort_index: int
     sampled: tuple[int, ...]
     rewards: tuple[float, ...]

@@ -538,6 +538,21 @@ def test_binding_keys_that_differ_from_the_parameters_fail_at_load(command, tmp_
     )
 
 
+@pytest.mark.parametrize("command", _LOADS_COHORTS)
+def test_out_of_range_gold_fails_at_load_naming_the_member(command, tmp_path, capsys):
+    record = json.loads(_first_line(f"{FIX}/cohorts.jsonl"))
+    record["variants"][1]["gold"] = 5
+    path = tmp_path / "cohorts.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *_LOADS_COHORTS[command](str(path)))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"{command}: {path}: line 1: gold index 5 out of range for 2 options "
+        "(at variants[1].gold)\n"
+    )
+
+
 def _xy_cohort(cohort_id: str) -> dict:
     def member(x: str, y: str) -> dict:
         return {"bindings": {"X": x, "Y": y}, "question": f"Is {x} bigger than {y}?", "gold": 0}

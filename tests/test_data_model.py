@@ -115,14 +115,6 @@ def test_validate_cohort_flags_text_mismatch():
     assert report.members[0].ok
 
 
-def test_validate_cohort_flags_gold_out_of_range():
-    t = _template()
-    members = [_member(t, f"a{i}", f"b{i}", 0) for i in range(COHORT_SIZE)]
-    members[1] = _member(t, "a1", "b1", 5)
-    report = validate_cohort(_cohort(t, members))
-    assert not report.members[1].gold_in_range
-
-
 def _record(t=None):
     return {
         "cohort_id": "c1",
@@ -165,6 +157,16 @@ def test_parse_cohort_rejects_bool_gold():
     record["original"]["gold"] = True
     with pytest.raises(SchemaError):
         parse_cohort(record)
+
+
+def test_gold_out_of_range_fails_at_load_naming_the_member():
+    record = _record()
+    record["variants"][0]["gold"] = 5
+    with pytest.raises(SchemaError) as info:
+        parse_cohort(record, line=3)
+    assert str(info.value) == (
+        "line 3: gold index 5 out of range for 2 options (at variants[0].gold)"
+    )
 
 
 def test_parse_cohort_rejects_unknown_domain():

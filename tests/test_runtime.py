@@ -1,7 +1,16 @@
 import pytest
 
+from cohortqa.data_model import load_cohorts
 from cohortqa.dsl import ValueKind, parse_program
-from cohortqa.retriever import FactEntry, FactTable, MockRetriever, RetrieveResponse
+from cohortqa.evaluation import MemberOutcome
+from cohortqa.retriever import (
+    FactEntry,
+    FactTable,
+    MockRetriever,
+    RetrieveRequest,
+    RetrieveResponse,
+)
+from cohortqa.reward import GroupAdvantages
 from cohortqa.runtime import (
     KIND_DEFAULTS,
     STATUS_ANSWERED,
@@ -11,9 +20,12 @@ from cohortqa.runtime import (
     LIMIT_RETRIEVES,
     LIMIT_STEPS,
     ExecutionLimits,
+    ExecutionResult,
+    RetrieveEvent,
     execute,
     render_value,
 )
+from cohortqa.sim import UpdateRecord
 
 HEADER = "def answer(X: str, Y: str) -> int"
 
@@ -268,3 +280,132 @@ def test_trace_event_json_shape():
     assert valued == {
         "q": "Is Zeus real?", "kind": "bool", "outcome": "value", "value": True,
     }
+
+
+# --- limit trip points ----------------------------------------------------
+
+FIX = "fixtures"
+
+LOOP = prog(
+    'films = retrieve(f"Which films did {X} make?", list)\n'
+    "kept = []\n"
+    "for film in films:\n"
+    '    ok = retrieve(f"Is {film} a {Y} film?", bool)\n'
+    "    if ok:\n"
+    "        kept.append(film)\n"
+    "return len(kept)"
+)
+
+# "beta" is missing, so the loop's second lookup is rejected
+LOOP_FACTS = table({
+    "which films did ada make": ("list", ["Alpha", "Beta", "Gamma"]),
+    "is alpha a noir film": ("bool", True),
+    "is gamma a noir film": ("bool", False),
+})
+
+
+def _fixture_runs():
+    """(program, bindings, retriever) for the fixture conjunction program on
+    the sim cohort's original (one lookup rejected) and on variant 2."""
+    cohort = load_cohorts(f"{FIX}/sim_cohorts.jsonl")[0]
+    with open(f"{FIX}/programs/conjunction.py", encoding="utf-8") as handle:
+        program = parse_program(handle.read(), cohort.template.function_header)
+    retriever = MockRetriever(FactTable.from_jsonl(f"{FIX}/facts.jsonl"))
+    return {
+        "fixture-original": (program, cohort.members[0].bindings, retriever),
+        "fixture-variant-2": (program, cohort.members[3].bindings, retriever),
+        "loop": (LOOP, {"X": "Ada", "Y": "noir"}, LOOP_FACTS),
+    }
+
+
+def _tripped(which, n_trace, rejected):
+    return (STATUS_LIMIT, which, n_trace, rejected)
+
+
+def _answered(n_trace, rejected):
+    return (STATUS_ANSWERED, "", n_trace, rejected)
+
+
+# (limit name, run) -> [(first limit value, observed tuple), ...]: each
+# tuple holds from its limit value up to the next entry's, and the last
+# entry's limit value is the run's full count (every step or retrieve)
+TRIP_POINTS = {
+    ("max_steps", "fixture-original"): [
+        (1, _tripped(LIMIT_STEPS, 0, False)),
+        (2, _tripped(LIMIT_STEPS, 1, True)),
+        (4, _tripped(LIMIT_STEPS, 2, True)),
+        (9, _answered(2, True)),
+    ],
+    ("max_steps", "fixture-variant-2"): [
+        (1, _tripped(LIMIT_STEPS, 0, False)),
+        (2, _tripped(LIMIT_STEPS, 1, False)),
+        (4, _tripped(LIMIT_STEPS, 2, False)),
+        (10, _answered(2, False)),
+    ],
+    ("max_steps", "loop"): [
+        (1, _tripped(LIMIT_STEPS, 0, False)),
+        (2, _tripped(LIMIT_STEPS, 1, False)),
+        (8, _tripped(LIMIT_STEPS, 2, False)),
+        (14, _tripped(LIMIT_STEPS, 3, True)),
+        (18, _tripped(LIMIT_STEPS, 4, True)),
+        (23, _answered(4, True)),
+    ],
+    ("max_retrieve_calls", "fixture-original"): [
+        (1, _tripped(LIMIT_RETRIEVES, 1, True)),
+        (2, _answered(2, True)),
+    ],
+    ("max_retrieve_calls", "fixture-variant-2"): [
+        (1, _tripped(LIMIT_RETRIEVES, 1, False)),
+        (2, _answered(2, False)),
+    ],
+    ("max_retrieve_calls", "loop"): [
+        (1, _tripped(LIMIT_RETRIEVES, 1, False)),
+        (2, _tripped(LIMIT_RETRIEVES, 2, False)),
+        (3, _tripped(LIMIT_RETRIEVES, 3, True)),
+        (4, _answered(4, True)),
+    ],
+    ("max_list_len", "loop"): [
+        (1, _tripped(LIMIT_LIST, 1, False)),
+        (3, _answered(4, True)),
+    ],
+}
+
+
+@pytest.mark.parametrize("limit, run", TRIP_POINTS)
+def test_limit_trip_points(limit, run):
+    program, bindings, retriever = _fixture_runs()[run]
+    points = TRIP_POINTS[limit, run]
+    expected = {}
+    for (start, observed), (stop, _) in zip(points, points[1:] + [(points[-1][0] + 1, None)]):
+        expected.update((n, observed) for n in range(start, stop))
+    seen = {}
+    for n in expected:
+        result = execute(program, bindings, retriever, ExecutionLimits(**{limit: n}))
+        seen[n] = (result.status, result.limit_which, len(result.trace), result.was_rejected)
+    assert seen == expected
+
+
+# --- per-execution records --------------------------------------------------
+
+def _records():
+    event = RetrieveEvent("Is a real?", ValueKind.BOOL, "value", True)
+    return [
+        RetrieveRequest("Is a real?", ValueKind.BOOL),
+        RetrieveResponse.of_value(True),
+        FactEntry(ValueKind.BOOL, True),
+        event,
+        ExecutionResult(STATUS_ANSWERED, 1, trace=(event,)),
+        MemberOutcome(1, True, False),
+        UpdateRecord(0, (1, 0), (0.2, 0.4), (-1.0, 1.0), (0.4, 0.6)),
+        GroupAdvantages((0.2, 0.4), (-1.0, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_hashable(record):
+    names = list(type(record).__annotations__)
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], None)
+    copy = type(record)(*(getattr(record, name) for name in names))
+    assert copy == record
+    assert hash(copy) == hash(record)
