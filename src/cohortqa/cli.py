@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -377,7 +378,13 @@ def cmd_sim(args, parser) -> int:
         parser.error("--rollouts must be >= 2: group advantages need at least 2 rollouts")
     if args.updates < 1:
         parser.error("--updates must be >= 1")
-    from .sim import ToyTrainConfig, run_toy_training  # numpy loads only for sim
+    if not math.isfinite(args.lr):
+        parser.error(f"--lr must be finite, not {args.lr}")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    import numpy as np  # numpy loads only for sim
+
+    from .sim import ToyTrainConfig, run_toy_training
 
     cohorts = load_cohorts(args.cohorts)
     if not cohorts:
@@ -405,7 +412,13 @@ def cmd_sim(args, parser) -> int:
         mode=args.variant,
         seed=args.seed,
     )
-    log = run_toy_training(config, pool, cohorts, retriever)
+    try:
+        # a diverged policy is reported below, not as softmax's NaN warning
+        with np.errstate(invalid="ignore"):
+            log = run_toy_training(config, pool, cohorts, retriever)
+    except ValueError as exc:  # the policy diverged
+        print(f"sim: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
             meta = _base_report(args)
@@ -428,6 +441,10 @@ def cmd_stats(args, parser) -> int:
     label_map = {}
     if args.labels:
         raw_map = _read_json_object(args.labels)
+        for question, category in raw_map.items():
+            if not isinstance(category, str):
+                raise SchemaError(f"the label of {question!r} must be a string, not {category!r}",
+                                  path=args.labels)
         label_map = {normalize_question(k): v for k, v in raw_map.items()}
 
     def label(question: str) -> str:
@@ -454,14 +471,50 @@ def cmd_stats(args, parser) -> int:
     return EXIT_OK
 
 
+# what `report` reads of a report; "*" stands for every key of an object
+_NUMBER = (int, float)
+_ACCURACY_STATS = {"pass_rate": _NUMBER, "ci_halfwidth": _NUMBER, "n": int}
+_REPORT_SHAPES = {
+    "accuracy": {"per_domain": {"*": _ACCURACY_STATS}, "overall": _ACCURACY_STATS},
+    "rejection": {"per_category": {"*": {"rate": _NUMBER}}, "overall": {"rate": _NUMBER}},
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise a SchemaError naming the first key of `value` that `shape` does not allow."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{where} must be an object, not {value!r}")
+        for key, inner in shape.items():
+            if key == "*":
+                for name, item in value.items():
+                    _check_shape(item, inner, f"{where}.{name}")
+            elif key not in value:
+                raise SchemaError(f"{where} has no key {key!r}")
+            else:
+                _check_shape(value[key], inner, f"{where}.{key}")
+    elif not isinstance(value, shape) or isinstance(value, bool):
+        noun = {int: "an integer", str: "a string"}.get(shape, "a number")
+        raise SchemaError(f"{where} must be {noun}, not {value!r}")
+
+
 def cmd_report(args, parser) -> int:
     for path in args.inputs:
         data = _read_json_object(path)
+        config = data.get("config", {})
+        try:
+            _check_shape(config, {}, "config")
+            criterion = config.get("criterion", "accuracy")
+            _check_shape(criterion, str, "config.criterion")
+            for key, shape in _REPORT_SHAPES.items():
+                if data.get(key) is not None:
+                    _check_shape(data[key], shape, key)
+        except SchemaError as exc:
+            raise SchemaError(exc.message, path=path) from None
         print(f"== {path} ==")
         if data.get("accuracy") is not None:
-            criterion = data.get("config", {}).get("criterion", "accuracy")
             print(_accuracy_table(data["accuracy"], criterion))
-        if "rejection" in data:
+        if data.get("rejection") is not None:
             print(_rejection_table(data["rejection"]))
     return EXIT_OK
 

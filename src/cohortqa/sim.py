@@ -4,7 +4,10 @@ suppresses shortcut programs that only fit the original question."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +33,9 @@ MODES = (MODE_COHORT, MODE_NORMAL, MODE_ORG)
 
 ORG_ACCURACY_SCALE = 1.2  # full-cohort accuracy mass granted on one question
 
+# how far probabilities may sum from 1: Generator.choice's own tolerance
+PROBABILITY_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
@@ -50,6 +56,10 @@ class ToyTrainConfig:
             raise ValueError("group advantages need at least 2 rollouts")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, not {self.learning_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 class UpdateRecord(NamedTuple):
@@ -92,26 +102,43 @@ def policy_gradient_step(
     sampled: Sequence[int],
     advantages: Sequence[float],
     learning_rate: float,
-    probs: np.ndarray | None = None,
+    probs: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Exact softmax score-function update for advantage-weighted log-prob.
 
     For each sampled index i: grad log pi(i) = onehot(i) - p, with p held
     fixed at the pre-update distribution; contributions sum over rollouts.
-    `probs` is that distribution, `softmax(logits)`, when the caller has it.
-    The arithmetic runs on plain floats in the order of the array form
-    (grad -= adv * p; grad[i] += adv; logits + lr * grad), so both agree
-    bit for bit.
+    `probs` is that distribution, `softmax(logits)` or its `tolist()`, when
+    the caller has it. The arithmetic runs on plain floats in the order of
+    the array form (grad -= adv * p; grad[i] += adv; logits + lr * grad), so
+    both agree bit for bit.
     """
-    if probs is None:
-        probs = softmax(logits)
-    p = probs.tolist()
+    p = softmax(logits).tolist() if probs is None else probs
     grad = [0.0] * len(p)
     for i, adv in zip(sampled, advantages):
         for j, p_j in enumerate(p):
             grad[j] -= adv * p_j
         grad[i] += adv
     return np.array([x + learning_rate * g for x, g in zip(logits.tolist(), grad)])
+
+
+def sample_rollouts(rng: np.random.Generator, probs: Sequence[float], n: int) -> list[int]:
+    """Draw `n` indices as `rng.choice(len(probs), size=n, p=probs)` draws them.
+
+    Once its arguments pass its checks, Generator.choice sums `probs` left to
+    right, divides the sums by the last one, draws `rng.random(n)` and places
+    each uniform with `searchsorted(side="right")`. The same steps on plain
+    floats give the same indices and leave the bit generator in the same
+    state, without choice's per-call cost. Of its checks, this keeps the one
+    a softmax output can fail: a ValueError unless `probs` sum to 1 within
+    PROBABILITY_SUM_ATOL, which a NaN fails too.
+    """
+    cdf = list(accumulate(probs))
+    total = cdf[-1]
+    if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    cdf = [c / total for c in cdf]
+    return [bisect_right(cdf, u) for u in rng.random(n).tolist()]
 
 
 def run_toy_training(
@@ -121,7 +148,13 @@ def run_toy_training(
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> TrainingLog:
-    """Round-robin over cohorts; sample rollouts, reward, normalize, update."""
+    """Round-robin over cohorts; sample rollouts, reward, normalize, update.
+
+    Rollouts are drawn by `sample_rollouts`, draw for draw as
+    `Generator.choice` would draw them from the same seed. A step that leaves
+    the probabilities summing away from 1, such as logits overflowing at a
+    huge learning rate, raises a ValueError naming that update.
+    """
     if not pool:
         raise ValueError("empty candidate pool")
     if not cohorts:
@@ -132,11 +165,15 @@ def run_toy_training(
     # deterministic retriever => rewards are pure in (program, cohort); the
     # outcome itself is not kept once its reward is known
     reward_cache: dict[tuple[int, int], float] = {}
-    probs = softmax(logits)
+    probs = softmax(logits).tolist()
 
     for update_index in range(config.updates):
         cohort_index = update_index % len(cohorts)
-        sampled = rng.choice(len(pool), size=config.rollouts_per_update, p=probs).tolist()
+        try:
+            sampled = sample_rollouts(rng, probs, config.rollouts_per_update)
+        except ValueError as exc:
+            # the uniform start always passes, so the step before this draw failed
+            raise ValueError(f"policy diverged at update {update_index}: {exc}") from None
         rewards = []
         for program_index in sampled:
             key = (program_index, cohort_index)
@@ -147,15 +184,19 @@ def run_toy_training(
             rewards.append(reward)
         group = group_advantages(rewards)
         logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
-        probs = softmax(logits)  # the next update's sampling distribution
+        probs = softmax(logits).tolist()  # the next update's sampling distribution
         log.updates.append(
             UpdateRecord(
                 cohort_index=cohort_index,
                 sampled=tuple(sampled),
                 rewards=group.rewards,
                 advantages=group.advantages,
-                probabilities_after=tuple(probs.tolist()),
+                probabilities_after=tuple(probs),
             )
         )
-    log.final_probabilities = tuple(probs.tolist())
+    total = sum(probs)  # no draw checks the last step's distribution
+    if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
+        raise ValueError(
+            f"policy diverged at update {config.updates}: probabilities sum to {total!r}, not 1")
+    log.final_probabilities = tuple(probs)
     return log

@@ -299,6 +299,9 @@ def test_report_renders_eval_json(tmp_path, capsys):
     ["sim", "--rollouts", "1"],
     ["sim", "--updates", "0"],
     ["sim", "--updates", "-3"],
+    ["sim", "--seed", "-1"],
+    ["sim", "--lr", "nan"],
+    ["sim", "--lr", "inf"],
 ])
 def test_bad_counts_are_usage_errors(argv, capsys):
     inputs = ["--cohorts", f"{FIX}/cohorts.jsonl", "--facts", f"{FIX}/facts.jsonl"]
@@ -491,6 +494,15 @@ def test_sim_on_an_empty_input_names_the_file(empty, tmp_path, capsys):
     assert err.startswith(f"sim: {inputs[empty]}: no ")
 
 
+def test_sim_reports_a_diverged_policy(tmp_path, capsys):
+    # a finite learning rate can still overflow the logits to +-inf
+    code, out, err = run(capsys, "sim", "--lr=1e308", "--pool", f"{FIX}/pool.jsonl",
+                         "--cohorts", f"{FIX}/sim_cohorts.jsonl", "--facts", f"{FIX}/facts.jsonl")
+    assert code == 1
+    assert out == ""
+    assert err == "sim: policy diverged at update 1: probabilities sum to nan, not 1\n"
+
+
 def test_stats_labels_that_are_not_an_object(tmp_path, capsys):
     traces, labels = tmp_path / "trace.jsonl", tmp_path / "labels.json"
     traces.write_text('{"q": "Is Amy a documentary film?", "outcome": "value"}\n', encoding="utf-8")
@@ -500,6 +512,16 @@ def test_stats_labels_that_are_not_an_object(tmp_path, capsys):
     assert err == f"stats: {labels}: not a JSON object\n"
 
 
+def test_stats_label_that_is_not_a_string(tmp_path, capsys):
+    traces, labels = tmp_path / "trace.jsonl", tmp_path / "labels.json"
+    traces.write_text('{"q": "Is A a B?", "outcome": "value"}\n', encoding="utf-8")
+    labels.write_text('{"Is A a B?": 1}\n', encoding="utf-8")
+    code, out, err = run(capsys, "stats", "--traces", str(traces), "--labels", str(labels))
+    assert code == 1
+    assert out == ""
+    assert err == f"stats: {labels}: the label of 'Is A a B?' must be a string, not 1\n"
+
+
 def test_report_on_a_json_list(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text("[]\n", encoding="utf-8")
@@ -507,6 +529,27 @@ def test_report_on_a_json_list(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"report: {path}: not a JSON object\n"
+
+
+@pytest.mark.parametrize("report, problem", [
+    ({"accuracy": {"overall": {}}}, "accuracy has no key 'per_domain'"),
+    ({"accuracy": {"per_domain": {}, "overall": {"pass_rate": 1.0, "n": 3}}},
+     "accuracy.overall has no key 'ci_halfwidth'"),
+    ({"accuracy": {"per_domain": {"film": []}, "overall": {}}},
+     "accuracy.per_domain.film must be an object, not []"),
+    ({"rejection": {"per_category": 3}}, "rejection.per_category must be an object, not 3"),
+    ({"rejection": {"per_category": {}, "overall": {"rate": "0.5"}}},
+     "rejection.overall.rate must be a number, not '0.5'"),
+    ({"config": [], "rejection": None}, "config must be an object, not []"),
+    ({"config": {"criterion": 1}}, "config.criterion must be a string, not 1"),
+])
+def test_report_on_a_malformed_report_names_the_key(report, problem, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"report: {path}: {problem}\n"
 
 
 # each command that loads cohorts, with its other inputs

@@ -14,6 +14,7 @@ from cohortqa.sim import (
     mode_reward,
     policy_gradient_step,
     run_toy_training,
+    sample_rollouts,
     softmax,
 )
 
@@ -35,6 +36,11 @@ def test_config_validation():
         ToyTrainConfig(rollouts_per_update=1)
     with pytest.raises(ValueError):
         ToyTrainConfig(mode="ppo")
+    for learning_rate in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ToyTrainConfig(learning_rate=learning_rate)
+    with pytest.raises(ValueError, match="seed"):
+        ToyTrainConfig(seed=-1)
 
 
 def test_policy_gradient_matches_manual():
@@ -89,6 +95,64 @@ def test_policy_gradient_same_with_and_without_probs():
         with_probs = policy_gradient_step(logits, sampled, advantages, 0.5, softmax(logits))
         assert without.dtype == with_probs.dtype == np.float64
         assert np.array_equal(without, with_probs)
+
+
+def test_sampler_draws_what_generator_choice_draws():
+    # pools of 1-16, logit scales up to 800 so that some probabilities
+    # underflow to 0, and 1-10 rollouts: same draws, same bit generator state
+    cases = np.random.default_rng(2024)
+    underflowed = 0
+    for seed in range(600):
+        size = int(cases.integers(1, 17))
+        n = int(cases.integers(1, 11))
+        scale = float(cases.choice([0.1, 1.0, 10.0, 100.0, 800.0]))
+        probs = softmax(cases.normal(size=size) * scale)
+        underflowed += bool((probs == 0).any())
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_rollouts(ours, probs.tolist(), n) == theirs.choice(size, size=n, p=probs).tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert underflowed > 0
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose `random(n)` returns chosen uniforms; `choice` calls it too."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = uniforms
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.array(self.uniforms[:size])
+
+
+@pytest.mark.parametrize("probs, uniforms", [
+    # a uniform equal to a cumulative sum goes to the next index
+    ([0.2, 0.3, 0.5], [0.0, 0.2, 0.5, 0.7, 0.99]),
+    # zero-probability indices are never drawn, not even at 0.0; the sums are
+    # divided by their total, which is 1 - 1e-9 here
+    ([0.0, 0.5, 0.0, 0.5 - 1e-9], [0.0, 0.5, 0.50000000025, 0.9999999995]),
+])
+def test_sampler_places_uniforms_as_generator_choice_does(probs, uniforms):
+    n = len(uniforms)
+    expected = _FixedUniforms(uniforms).choice(len(probs), size=n, p=probs).tolist()
+    assert sample_rollouts(_FixedUniforms(uniforms), probs, n) == expected
+
+
+@pytest.mark.parametrize("probs", [[0.5, float("nan")], [0.5, 0.4], [0.6, 0.6]])
+def test_sampler_rejects_probabilities_that_do_not_sum_to_one(probs):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="not 1"):
+        sample_rollouts(rng, probs, 3)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+@pytest.mark.parametrize("updates", [1, 5])
+def test_overflowing_logits_name_the_diverged_update(updates, program_pool, sim_cohorts, fact_retriever):
+    # the first step pushes the logits to +-inf, so softmax returns NaN
+    config = ToyTrainConfig(updates=updates, learning_rate=1e308)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^policy diverged at update 1: "):
+        run_toy_training(config, _pool(program_pool), sim_cohorts, fact_retriever)
 
 
 def test_mode_rewards_on_fixture(program_pool, sim_cohorts, fact_retriever):
