@@ -228,3 +228,33 @@ def test_read_jsonl_errors_name_file_and_line(tmp_path, text, message):
         list(read_jsonl(path, parse, required=("a",)))
     assert excinfo.value.line == 2
     assert str(excinfo.value).startswith(f"{path}: line 2: {message}")
+
+
+_FACT = '{"q": "Is A a B?", "kind": "bool", "value": true}'
+
+
+@pytest.mark.parametrize("raw, message", [
+    (" \t" + _FACT + "\n", None),
+    (_FACT + " \t \n", None),
+    (_FACT, None),
+    (_FACT + "\x0b\n", "malformed JSON: Extra data"),
+    (_FACT + "x\n", "malformed JSON: Extra data"),
+    ("\ufeff" + _FACT + "\n", "malformed JSON: Expecting value"),
+    ("tru\n", "malformed JSON: Expecting value"),
+    (_FACT.replace('"bool"', '["bool"]') + "\n", "['bool'] is not a valid ValueKind"),
+    (_FACT.replace('"bool"', "3") + "\n", "3 is not a valid ValueKind"),
+])
+def test_fact_line_edge_cases(tmp_path, raw, message):
+    """JSON whitespace around a record is accepted; anything else left over,
+    a byte-order mark and an unknown kind each get the decoder's or the
+    enum's own words."""
+    from cohortqa.retriever import FactTable
+
+    path = tmp_path / "facts.jsonl"
+    path.write_text(raw, encoding="utf-8")
+    if message is None:
+        assert FactTable.from_jsonl(path).lookup("is a a b").value is True
+        return
+    with pytest.raises(SchemaError) as excinfo:
+        FactTable.from_jsonl(path)
+    assert str(excinfo.value) == f"{path}: line 1: {message}"
