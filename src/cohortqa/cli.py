@@ -438,14 +438,17 @@ def cmd_sim(args, parser) -> int:
 
 
 def cmd_stats(args, parser) -> int:
-    label_map = {}
+    label_map, label_keys = {}, {}
     if args.labels:
-        raw_map = _read_json_object(args.labels)
-        for question, category in raw_map.items():
+        for question, category in _read_json_object(args.labels).items():
             if not isinstance(category, str):
                 raise SchemaError(f"the label of {question!r} must be a string, not {category!r}",
                                   path=args.labels)
-        label_map = {normalize_question(k): v for k, v in raw_map.items()}
+            key = normalize_question(question)
+            if label_map.setdefault(key, category) != category:
+                raise SchemaError(f"labels {label_keys[key]!r} and {question!r} name the same "
+                                  "question with different categories", path=args.labels)
+            label_keys.setdefault(key, question)
 
     def label(question: str) -> str:
         return label_map.get(normalize_question(question), args.default_category)

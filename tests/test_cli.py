@@ -522,6 +522,27 @@ def test_stats_label_that_is_not_a_string(tmp_path, capsys):
     assert err == f"stats: {labels}: the label of 'Is A a B?' must be a string, not 1\n"
 
 
+
+@pytest.mark.parametrize("labels_json, error", [
+    ('{"Is A a B?": "x", "is a a b": "y"}',
+     "labels 'Is A a B?' and 'is a a b' name the same question with different categories"),
+    ('{"Is A a B?": "x", "is a a b": "x", "IS A A B": "y"}',
+     "labels 'Is A a B?' and 'IS A A B' name the same question with different categories"),
+    ('{"Is A a B?": "x", "is a a b": "x"}', None),
+])
+def test_stats_labels_that_normalize_alike(tmp_path, capsys, labels_json, error):
+    traces, labels = tmp_path / "trace.jsonl", tmp_path / "labels.json"
+    traces.write_text('{"q": "Is A a B?", "outcome": "rejected"}\n', encoding="utf-8")
+    labels.write_text(labels_json + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "--traces", str(traces), "--labels", str(labels))
+    if error is None:
+        assert (code, err) == (0, "")
+        assert "x" in out.split()
+        return
+    assert code == 1
+    assert out == ""
+    assert err == f"stats: {labels}: {error}\n"
+
 def test_report_on_a_json_list(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text("[]\n", encoding="utf-8")
