@@ -21,7 +21,10 @@ _TRAILING = string.punctuation + " "  # what normalize_question strips from the 
 T = TypeVar("T")
 
 # one decoder for every line: json.loads re-checks its arguments on each call
-_decode = json.JSONDecoder().decode
+_DECODER = json.JSONDecoder()
+_decode = _DECODER.decode
+_scan_once = _DECODER.scan_once  # decode without its Python wrapper
+_JSON_SPACE = " \t\n\r"
 
 
 class SchemaError(ValueError):
@@ -51,7 +54,15 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
             if not raw.strip():
                 continue
             try:
-                record = _decode(raw)
+                # a line that starts with its value and ends in JSON whitespace
+                # decodes in one scan; decode words the error for any other
+                try:
+                    record, end = _scan_once(raw, 0)
+                except StopIteration:
+                    record = _decode(raw)
+                else:
+                    if raw[end:].strip(_JSON_SPACE):
+                        record = _decode(raw)
                 if type(record) is not dict:
                     raise SchemaError("not a JSON object")
                 for key in required:

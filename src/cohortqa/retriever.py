@@ -49,6 +49,10 @@ class RetrieveResponse(NamedTuple):
         return cls(OUTCOME_ERROR, reason=reason)
 
 
+# immutable, so every rejected lookup of the mock can share it
+_REJECTED = RetrieveResponse(OUTCOME_REJECTED)
+
+
 class Retriever(Protocol):
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse: ...
 
@@ -128,15 +132,23 @@ class FactTable:
         return len(self._entries)
 
     def lookup(self, question: str) -> Optional[FactEntry]:
-        return self._entries.get(normalize_question(question))
+        # normalize_question inlined to one call: it runs on every mock lookup
+        return self._entries.get(data_model.normalize_question(question.casefold()))
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FactTable":
         return cls(dict(read_jsonl(path, _fact, ("q", "kind", "value"))))
 
 
+_KINDS = {kind.value: kind for kind in ValueKind}
+
+
 def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
-    question, kind, value = record["q"], ValueKind(record["kind"]), record["value"]
+    question, name, value = record["q"], record["kind"], record["value"]
+    try:
+        kind = _KINDS[name]
+    except (KeyError, TypeError):  # not a kind name: the enum words the error
+        kind = ValueKind(name)
     if not isinstance(question, str):
         raise SchemaError("q must be a string", "q")
     if not _value_conforms(kind, value):
@@ -155,17 +167,21 @@ class MockRetriever:
         self.table = table
 
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse:
-        if not request.question:
-            return RetrieveResponse.error("empty question")
-        entry = self.table.lookup(request.question)
+        question, kind = request
+        if not question:
+            return RetrieveResponse(OUTCOME_ERROR, None, "empty question")
+        entry = self.table.lookup(question)
         if entry is None:
-            return RetrieveResponse.rejected()
-        if entry.kind is not request.kind:
-            return RetrieveResponse.error(
-                f"kind mismatch: table has {entry.kind.value}, requested {request.kind.value}"
+            return _REJECTED
+        table_kind, value = entry
+        if table_kind is not kind:
+            return RetrieveResponse(
+                OUTCOME_ERROR, None,
+                f"kind mismatch: table has {table_kind.value}, requested {kind.value}",
             )
-        value = list(entry.value) if request.kind is ValueKind.LIST else entry.value
-        return RetrieveResponse.of_value(value)
+        if kind is ValueKind.LIST:
+            value = list(value)
+        return RetrieveResponse(OUTCOME_VALUE, value)
 
     def close(self) -> None:
         """Nothing to release; a caller may close any retriever it made."""

@@ -3,6 +3,12 @@
 Every retrieve() call is routed through a Retriever; rejected lookups
 substitute the kind-default value and execution continues. Hard limits cap
 retrieve calls, interpreter steps, and list sizes.
+
+A run ends at a `return` by a returned flag, not an exception: the statement
+stores its value on the interpreter and returns True, and every enclosing
+body passes that True up at once. Failures and limit trips still raise.
+Nodes dispatch on their exact class (`node.__class__ is Assign`), so the DSL
+node classes are never subclassed.
 """
 
 from __future__ import annotations
@@ -113,20 +119,14 @@ class _LimitExceeded(Exception):
         super().__init__(which)
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
-        super().__init__()
-
-
 def render_value(value) -> str:
     """Canonical text rendering used for f-string interpolation."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, (list, tuple)):
         return ", ".join(render_value(v) for v in value)
     raise TypeError(f"unrenderable value {value!r}")
@@ -146,8 +146,7 @@ def render_question(fstring: FormatString, env: Mapping[str, object]) -> str:
 
 
 def _coerce_binding(kind: ValueKind, text: str):
-    if kind is ValueKind.STR:
-        return text
+    """Convert a binding for a parameter of any kind but str, which binds as-is."""
     try:
         if kind is ValueKind.INT:
             return int(text)
@@ -167,37 +166,39 @@ class _Interpreter:
         self.env: dict[str, object] = {}
         self.trace: list[RetrieveEvent] = []
         self.was_rejected = False
+        self.returned = None  # the value of the `return` that ended the run
         self.steps = 0  # one per statement and per expression
         self.max_steps = limits.max_steps
 
     # -- statements --
 
-    def exec_body(self, body: tuple[Stmt, ...]):
-        for stmt in body:
-            self.exec_stmt(stmt)
+    # A statement returns True when a `return` ran in it: the value is in
+    # self.returned, and every enclosing body stops at once.
 
-    def exec_stmt(self, stmt: Stmt):
+    def exec_body(self, body: tuple[Stmt, ...]) -> bool:
+        for stmt in body:
+            if self.exec_stmt(stmt):
+                return True
+        return False
+
+    def exec_stmt(self, stmt: Stmt) -> bool:
         self.steps += 1
         if self.steps > self.max_steps:
             raise _LimitExceeded(LIMIT_STEPS)
-        if isinstance(stmt, Assign):
+        # exact classes, most frequent first; node classes are never subclassed
+        cls = stmt.__class__
+        if cls is Assign:
             self.env[stmt.name] = self.eval(stmt.value)
-        elif isinstance(stmt, Append):
-            target = self._lookup(stmt.target)
-            if not isinstance(target, list):
-                raise _RuntimeFailure(f"append target {stmt.target!r} is not a list")
-            if len(target) >= self.limits.max_list_len:
-                raise _LimitExceeded(LIMIT_LIST)
-            target.append(self.eval(stmt.value))
-        elif isinstance(stmt, Return):
-            raise _ReturnSignal(self.eval(stmt.value))
-        elif isinstance(stmt, If):
+            return False
+        if cls is If:
             for cond, body in stmt.branches:
                 if self._eval_bool(cond, "if condition"):
-                    self.exec_body(body)
-                    return
-            self.exec_body(stmt.orelse)
-        elif isinstance(stmt, ForEach):
+                    return self.exec_body(body)
+            return self.exec_body(stmt.orelse)
+        if cls is Return:
+            self.returned = self.eval(stmt.value)
+            return True
+        if cls is ForEach:
             iterable = self.eval(stmt.iterable)
             if not isinstance(iterable, (list, tuple)):
                 raise _RuntimeFailure("for-loop iterable is not a list")
@@ -205,9 +206,18 @@ class _Interpreter:
                 raise _LimitExceeded(LIMIT_LIST)
             for item in list(iterable):
                 self.env[stmt.loop_var] = item
-                self.exec_body(stmt.body)
-        else:
-            raise _RuntimeFailure(f"unknown statement {type(stmt).__name__}")
+                if self.exec_body(stmt.body):
+                    return True
+            return False
+        if cls is Append:
+            target = self._lookup(stmt.target)
+            if not isinstance(target, list):
+                raise _RuntimeFailure(f"append target {stmt.target!r} is not a list")
+            if len(target) >= self.limits.max_list_len:
+                raise _LimitExceeded(LIMIT_LIST)
+            target.append(self.eval(stmt.value))
+            return False
+        raise _RuntimeFailure(f"unknown statement {type(stmt).__name__}")
 
     # -- expressions --
 
@@ -232,24 +242,25 @@ class _Interpreter:
         self.steps += 1
         if self.steps > self.max_steps:
             raise _LimitExceeded(LIMIT_STEPS)
-        if isinstance(expr, VarRef):
+        cls = expr.__class__
+        if cls is VarRef:
             return self._lookup(expr.name)
-        if isinstance(expr, Literal):
+        if cls is Literal:
             if expr.kind is ValueKind.LIST:
                 return list(expr.value)
             return expr.value
-        if isinstance(expr, RetrieveCall):
+        if cls is Binary:
+            return self._eval_binary(expr)
+        if cls is RetrieveCall:
             return self._eval_retrieve(expr)
-        if isinstance(expr, Unary):
+        if cls is Index:
+            return self._eval_index(expr)
+        if cls is BuiltinCall:
+            return self._eval_builtin(expr)
+        if cls is Unary:
             if expr.op == "not":
                 return not self._eval_bool(expr.operand, "operand of not")
             return -self._eval_number(expr.operand, "operand of unary minus")
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr)
-        if isinstance(expr, Index):
-            return self._eval_index(expr)
-        if isinstance(expr, BuiltinCall):
-            return self._eval_builtin(expr)
         raise _RuntimeFailure(f"unknown expression {type(expr).__name__}")
 
     def _eval_retrieve(self, expr: RetrieveCall):
@@ -257,9 +268,8 @@ class _Interpreter:
             raise _LimitExceeded(LIMIT_RETRIEVES)
         question = render_question(expr.question, self.env)
         kind = expr.kind
-        response = self.retriever.retrieve(RetrieveRequest(question, kind))
-        self.trace.append(RetrieveEvent(question, kind, *response))
-        outcome, value, reason = response
+        outcome, value, reason = self.retriever.retrieve(RetrieveRequest(question, kind))
+        self.trace.append(RetrieveEvent(question, kind, outcome, value, reason))
         if outcome == OUTCOME_VALUE:
             if kind is ValueKind.LIST:
                 value = list(value)
@@ -340,19 +350,21 @@ def execute(
     status, answer, reason, which = STATUS_FAILURE, None, "", ""
     try:
         for name, kind in program.params:
-            interp.env[name] = _coerce_binding(kind, bindings[name])
-        interp.exec_body(program.body)
-        reason = "control flow ended without return"
-    except _ReturnSignal as signal:
-        value = signal.value
-        if isinstance(value, bool) or not isinstance(value, int):
+            text = bindings[name]
+            interp.env[name] = text if kind is ValueKind.STR else _coerce_binding(kind, text)
+        returned = interp.exec_body(program.body)
+    except _RuntimeFailure as exc:
+        reason = exc.reason
+    except _LimitExceeded as exc:
+        status, which = STATUS_LIMIT, exc.which
+    else:
+        value = interp.returned
+        if not returned:
+            reason = "control flow ended without return"
+        elif isinstance(value, bool) or not isinstance(value, int):
             reason = f"non-integer return: {value!r}"
         elif value < 0:
             reason = f"negative answer index {value}"
         else:
             status, answer = STATUS_ANSWERED, value
-    except _RuntimeFailure as exc:
-        reason = exc.reason
-    except _LimitExceeded as exc:
-        status, which = STATUS_LIMIT, exc.which
     return ExecutionResult(status, answer, reason, which, interp.was_rejected, tuple(interp.trace))
