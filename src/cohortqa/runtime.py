@@ -138,10 +138,11 @@ def render_question(fstring: FormatString, env: Mapping[str, object]) -> str:
     for seg in fstring.segments:
         if seg.__class__ is str:
             parts.append(seg)
-        elif seg.name in env:
-            parts.append(render_value(env[seg.name]))
         else:
-            raise _RuntimeFailure(f"unbound name {seg.name!r} in retrieve question")
+            try:
+                parts.append(render_value(env[seg.name]))
+            except KeyError:
+                raise _RuntimeFailure(f"unbound name {seg.name!r} in retrieve question") from None
     return "".join(parts)
 
 
@@ -169,6 +170,7 @@ class _Interpreter:
         self.returned = None  # the value of the `return` that ended the run
         self.steps = 0  # one per statement and per expression
         self.max_steps = limits.max_steps
+        self.max_retrieve_calls = limits.max_retrieve_calls
 
     # -- statements --
 
@@ -226,16 +228,19 @@ class _Interpreter:
             raise _RuntimeFailure(f"unbound name {name!r}")
         return self.env[name]
 
-    def _eval_bool(self, expr: Expr, context: str) -> bool:
+    # `context` names the operand in a failure, with {} for `op`; it is
+    # formatted only when the check fails
+
+    def _eval_bool(self, expr: Expr, context: str, op: str = "") -> bool:
         value = self.eval(expr)
         if not isinstance(value, bool):
-            raise _RuntimeFailure(f"{context} is not a bool: {value!r}")
+            raise _RuntimeFailure(f"{context.format(op)} is not a bool: {value!r}")
         return value
 
-    def _eval_number(self, expr: Expr, context: str):
+    def _eval_number(self, expr: Expr, context: str, op: str = ""):
         value = self.eval(expr)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _RuntimeFailure(f"{context} is not a number: {value!r}")
+            raise _RuntimeFailure(f"{context.format(op)} is not a number: {value!r}")
         return value
 
     def eval(self, expr: Expr):
@@ -244,7 +249,10 @@ class _Interpreter:
             raise _LimitExceeded(LIMIT_STEPS)
         cls = expr.__class__
         if cls is VarRef:
-            return self._lookup(expr.name)
+            try:
+                return self.env[expr.name]
+            except KeyError:
+                raise _RuntimeFailure(f"unbound name {expr.name!r}") from None
         if cls is Literal:
             if expr.kind is ValueKind.LIST:
                 return list(expr.value)
@@ -264,7 +272,7 @@ class _Interpreter:
         raise _RuntimeFailure(f"unknown expression {type(expr).__name__}")
 
     def _eval_retrieve(self, expr: RetrieveCall):
-        if len(self.trace) >= self.limits.max_retrieve_calls:
+        if len(self.trace) >= self.max_retrieve_calls:
             raise _LimitExceeded(LIMIT_RETRIEVES)
         question = render_question(expr.question, self.env)
         kind = expr.kind
@@ -285,23 +293,26 @@ class _Interpreter:
     def _eval_binary(self, expr: Binary):
         op = expr.op
         if op in ("and", "or"):
-            left = self._eval_bool(expr.left, f"left operand of {op}")
+            left = self._eval_bool(expr.left, "left operand of {}", op)
             if op == "and" and not left:
                 return False
             if op == "or" and left:
                 return True
-            return self._eval_bool(expr.right, f"right operand of {op}")
+            return self._eval_bool(expr.right, "right operand of {}", op)
         if op in ("==", "!="):
             left, right = self.eval(expr.left), self.eval(expr.right)
             return (left == right) if op == "==" else (left != right)
         if op in ("<", "<=", ">", ">="):
-            left = self._eval_number(expr.left, f"left operand of {op}")
-            right = self._eval_number(expr.right, f"right operand of {op}")
-            return {"<": left < right, "<=": left <= right,
-                    ">": left > right, ">=": left >= right}[op]
+            left = self._eval_number(expr.left, "left operand of {}", op)
+            right = self._eval_number(expr.right, "right operand of {}", op)
+            if op == "<":
+                return left < right
+            if op == "<=":
+                return left <= right
+            return left > right if op == ">" else left >= right
         if op in ("+", "-"):
-            left = self._eval_number(expr.left, f"left operand of {op}")
-            right = self._eval_number(expr.right, f"right operand of {op}")
+            left = self._eval_number(expr.left, "left operand of {}", op)
+            right = self._eval_number(expr.right, "right operand of {}", op)
             return left + right if op == "+" else left - right
         raise _RuntimeFailure(f"unknown operator {op!r}")
 

@@ -117,6 +117,31 @@ def test_unbound_name_in_retrieve_question_fails_before_the_lookup():
     assert result.trace == ()
 
 
+
+@pytest.mark.parametrize("body, reason", [
+    ("if X:\n    return 1\nreturn 0", "if condition is not a bool: 'a'"),
+    ("v = not X\nreturn 0", "operand of not is not a bool: 'a'"),
+    ("v = -X\nreturn 0", "operand of unary minus is not a number: 'a'"),
+    ("v = X and True\nreturn 0", "left operand of and is not a bool: 'a'"),
+    ("v = False or Y\nreturn 0", "right operand of or is not a bool: 'b'"),
+    ("v = X < 1\nreturn 0", "left operand of < is not a number: 'a'"),
+    ("v = 1 >= Y\nreturn 0", "right operand of >= is not a number: 'b'"),
+    ("v = 1 + X\nreturn 0", "right operand of + is not a number: 'a'"),
+    ("v = True - 1\nreturn 0", "left operand of - is not a number: True"),
+])
+def test_operand_type_failures_name_the_operand(body, reason):
+    result = execute(prog(body), {"X": "a", "Y": "b"}, EMPTY)
+    assert (result.status, result.failure_reason) == (STATUS_FAILURE, reason)
+
+
+@pytest.mark.parametrize("op, answers", [
+    ("<", (1, 0, 0)), ("<=", (1, 1, 0)), (">", (0, 0, 1)), (">=", (0, 1, 1)),
+])
+def test_comparisons(op, answers):
+    for (left, right), answer in zip(((1, 2), (2, 2.0), (3, 2)), answers):
+        p = prog(f"if {left} {op} {right}:\n    return 1\nreturn 0")
+        assert execute(p, {"X": "a", "Y": "b"}, EMPTY).answer == answer, (left, op, right)
+
 def test_unbound_name_in_expression_fails():
     p = prog("if X == Y:\n    v = 1\nreturn v")
     result = execute(p, {"X": "a", "Y": "b"}, EMPTY)
