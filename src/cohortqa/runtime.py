@@ -212,7 +212,10 @@ class _Interpreter:
                     return True
             return False
         if cls is Append:
-            target = self._lookup(stmt.target)
+            try:
+                target = self.env[stmt.target]
+            except KeyError:
+                raise _RuntimeFailure(f"unbound name {stmt.target!r}") from None
             if not isinstance(target, list):
                 raise _RuntimeFailure(f"append target {stmt.target!r} is not a list")
             if len(target) >= self.limits.max_list_len:
@@ -222,11 +225,6 @@ class _Interpreter:
         raise _RuntimeFailure(f"unknown statement {type(stmt).__name__}")
 
     # -- expressions --
-
-    def _lookup(self, name: str):
-        if name not in self.env:
-            raise _RuntimeFailure(f"unbound name {name!r}")
-        return self.env[name]
 
     # `context` names the operand in a failure, with {} for `op`; it is
     # formatted only when the check fails

@@ -128,8 +128,10 @@ def test_unbound_name_in_retrieve_question_fails_before_the_lookup():
     ("v = 1 >= Y\nreturn 0", "right operand of >= is not a number: 'b'"),
     ("v = 1 + X\nreturn 0", "right operand of + is not a number: 'a'"),
     ("v = True - 1\nreturn 0", "left operand of - is not a number: True"),
+    ("if X == Y:\n    v = []\nv.append(1)\nreturn 0", "unbound name 'v'"),
+    ("v = 1\nv.append(1)\nreturn 0", "append target 'v' is not a list"),
 ])
-def test_operand_type_failures_name_the_operand(body, reason):
+def test_failure_reasons_name_what_failed(body, reason):
     result = execute(prog(body), {"X": "a", "Y": "b"}, EMPTY)
     assert (result.status, result.failure_reason) == (STATUS_FAILURE, reason)
 
