@@ -11,12 +11,11 @@ import sys
 import time
 from collections import defaultdict
 from contextlib import closing
-from itertools import islice
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from . import __version__
-from .data_model import SchemaError, load_cohorts, read_jsonl, validate_cohort
+from .data_model import CohortInstance, SchemaError, load_cohorts, read_jsonl, validate_cohort
 from .dsl import ParseError, Program, check_program, parse_program
 from .evaluation import (
     EvalCriterion,
@@ -135,6 +134,15 @@ def _read_json_object(path: str) -> dict:
     return data
 
 
+def _cohorts_by_id(path: str) -> dict[str, CohortInstance]:
+    """The cohorts of a file by id; a repeated id is a SchemaError."""
+    cohorts: dict[str, CohortInstance] = {}
+    for cohort in load_cohorts(path):
+        if cohorts.setdefault(cohort.cohort_id, cohort) is not cohort:
+            raise SchemaError(f"cohort_id {cohort.cohort_id!r} repeats", path=path)
+    return cohorts
+
+
 # --- subcommands ---------------------------------------------------------
 
 def cmd_validate(args, parser) -> int:
@@ -158,7 +166,7 @@ def cmd_validate(args, parser) -> int:
 
 
 def cmd_check(args, parser) -> int:
-    cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
+    cohorts = _cohorts_by_id(args.cohorts)
     any_fail = False
     for record in read_jsonl(args.programs, _batch_record, _BATCH_KEYS):
         tag = f"{record['cohort_id']}#{record['sample_index']}"
@@ -186,8 +194,7 @@ def cmd_check(args, parser) -> int:
 
 
 def cmd_exec(args, parser) -> int:
-    cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
-    cohort = cohorts.get(args.cohort_id)
+    cohort = _cohorts_by_id(args.cohorts).get(args.cohort_id)
     if cohort is None:
         print(f"exec: unknown cohort {args.cohort_id!r}", file=sys.stderr)
         return EXIT_FAILURE
@@ -218,17 +225,13 @@ def cmd_exec(args, parser) -> int:
     return EXIT_OK
 
 
-class _BatchError(Exception):
-    """A program batch names an unknown cohort or holds an unparsable program."""
-
-
 def cmd_eval(args, parser) -> int:
     if args.k < 1:
         parser.error("--k must be >= 1")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     limits = _make_limits(args, parser)
-    cohorts = {c.cohort_id: c for c in load_cohorts(args.cohorts)}
+    cohorts = _cohorts_by_id(args.cohorts)
     by_cohort: dict[str, list[dict]] = defaultdict(list)
     for record in read_jsonl(args.programs, _batch_record, _BATCH_KEYS):
         by_cohort[record["cohort_id"]].append(record)
@@ -237,36 +240,32 @@ def cmd_eval(args, parser) -> int:
     jobs = 1 if args.retriever == "mock" else args.jobs
     criterion = EvalCriterion(args.criterion)
 
-    groups = [
-        (cohort_id, sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[: args.k])
-        for cohort_id in sorted(by_cohort)
-    ]
-
-    def pairs():
-        for cohort_id, group in groups:
+    def groups():
+        for cohort_id in sorted(by_cohort):
             cohort = cohorts.get(cohort_id)
             if cohort is None:
-                raise _BatchError(f"unknown cohort {cohort_id!r}")
+                raise SchemaError(f"unknown cohort {cohort_id!r}")
+            sources = [r["source"] for r in
+                       sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[: args.k]]
             # duplicate samples share one parse; a Program is immutable
             parsed: dict[str, Program] = {}
-            for record in group:
-                source = record["source"]
+            for source in sources:
                 if source not in parsed:
                     try:
                         parsed[source] = parse_program(source, cohort.template.function_header)
                     except ParseError as exc:
-                        raise _BatchError(f"parse error in {cohort_id}: {exc}") from exc
-                yield parsed[source], cohort
+                        raise SchemaError(f"parse error in {cohort_id}: {exc}") from exc
+            yield cohort, [parsed[source] for source in sources]
 
     rows = []
-    outcomes = run_cohorts(pairs(), retriever, limits, jobs)
-    try:
-        for cohort_id, group in groups:
-            samples = list(islice(outcomes, len(group)))
-            cohort = cohorts[cohort_id]
+    # closes the outcome stream first: that joins the pool, so no thread still
+    # holds a connection when the retriever closes
+    with closing(retriever), closing(run_cohorts(groups(), retriever, limits, jobs)) as outcomes:
+        for samples in outcomes:
+            cohort = cohorts[samples[0].cohort_id]
             outcome = vote(samples, cohort)
             rows.append({
-                "cohort_id": cohort_id,
+                "cohort_id": cohort.cohort_id,
                 "domain": cohort.template.domain_tag,
                 "k": len(samples),
                 "n_correct": outcome.n_correct,
@@ -280,12 +279,6 @@ def cmd_eval(args, parser) -> int:
                     for event in trace
                 ),
             })
-    except _BatchError as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    finally:
-        outcomes.close()  # joins the pool, so no thread still holds a connection
-        retriever.close()
     if not rows:
         print("eval: no programs to evaluate", file=sys.stderr)
         return EXIT_FAILURE
@@ -400,11 +393,19 @@ def cmd_sim(args, parser) -> int:
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
     header = cohorts[0].template.function_header
     candidates = list(read_jsonl(
-        args.pool, lambda obj, line: (obj, parse_program(obj["source"], header)), ("source",)))
+        args.pool, lambda obj, line: (line, obj, parse_program(obj["source"], header)), ("source",)))
     if not candidates:
         raise SchemaError("no candidate programs", path=args.pool)
-    names = [obj.get("name", f"candidate-{i}") for i, (obj, _) in enumerate(candidates)]
-    pool = [program for _, program in candidates]
+    lines: dict[str, int] = {}  # candidate name -> its line, in pool order
+    for i, (line, obj, _) in enumerate(candidates):
+        name = obj.get("name", f"candidate-{i}")
+        if not isinstance(name, str):
+            raise SchemaError(f"name must be a string, not {name!r}", "name", line, args.pool)
+        if lines.setdefault(name, line) != line:
+            raise SchemaError(f"candidate name {name!r} repeats line {lines[name]}",
+                              line=line, path=args.pool)
+    names = list(lines)
+    pool = [program for _, _, program in candidates]
     config = ToyTrainConfig(
         rollouts_per_update=args.rollouts,
         updates=args.updates,

@@ -68,12 +68,13 @@ class CohortOutcome:
         return self.summary.n_rejected
 
 
-def _check_signature(program: Program, cohort: CohortInstance) -> None:
-    if program.param_names != cohort.template.parameter_names:
-        raise ValueError(
-            f"program params {list(program.param_names)} do not match template "
-            f"params {list(cohort.template.parameter_names)}"
-        )
+def _check_signatures(cohort: CohortInstance, programs: Sequence[Program]) -> None:
+    for program in programs:
+        if program.param_names != cohort.template.parameter_names:
+            raise ValueError(
+                f"program params {list(program.param_names)} do not match template "
+                f"params {list(cohort.template.parameter_names)}"
+            )
 
 
 def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:
@@ -95,53 +96,58 @@ def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> Coho
 
 
 def run_cohorts(
-    pairs: Iterable[tuple[Program, CohortInstance]],
+    groups: Iterable[tuple[CohortInstance, Sequence[Program]]],
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
     jobs: int = 1,
-) -> Iterator[CohortOutcome]:
-    """Execute each program independently on all 6 members of its cohort.
+) -> Iterator[tuple[CohortOutcome, ...]]:
+    """Execute each program of a (cohort, programs) group independently on
+    all 6 members of the cohort.
 
-    Yields one outcome per (program, cohort) pair, in input order. At
-    jobs <= 1 everything runs serially in the caller's thread. Otherwise
-    member executions go to one pool of `jobs` threads for the whole run:
-    pairs are drawn lazily, keeping about 2 * jobs member executions
-    submitted ahead of the consumer, so outcomes stream instead of piling up.
-    Fan out only for I/O-bound retrievers; CPU-bound ones gain nothing under
-    the GIL.
+    This one grouped stream serves `eval`, `sim` (through `run_cohort`) and
+    self-consistency. It yields one tuple of outcomes per group, one outcome
+    per program, in input order. At jobs <= 1 everything runs serially in
+    the caller's thread. Otherwise member executions go to one pool of
+    `jobs` threads for the whole run: groups are drawn lazily, keeping about
+    2 * jobs member executions submitted ahead of the consumer, so outcomes
+    stream instead of piling up. Fan out only for I/O-bound retrievers;
+    CPU-bound ones gain nothing under the GIL.
 
     n_calls in each summary is the dynamic retrieve count on the original
     member; each member queries the retriever independently.
     """
     if jobs <= 1:
-        for program, cohort in pairs:
-            _check_signature(program, cohort)
-            yield _outcome(cohort, [
-                execute(program, m.bindings, retriever, limits) for m in cohort.members
-            ])
+        for cohort, programs in groups:
+            _check_signatures(cohort, programs)
+            yield tuple(
+                _outcome(cohort, [execute(program, m.bindings, retriever, limits)
+                                  for m in cohort.members])
+                for program in programs
+            )
         return
     pool = ThreadPoolExecutor(max_workers=jobs)
-    ahead: deque = deque()  # (cohort, member futures), oldest first
-    source = iter(pairs)
+    ahead: deque = deque()  # (cohort, member futures per program), oldest first
+    source = iter(groups)
 
     def top_up() -> None:
-        while sum(len(futures) for _, futures in ahead) < 2 * jobs:
-            pair = next(source, None)
-            if pair is None:
+        while sum(len(f) for _, per_program in ahead for f in per_program) < 2 * jobs:
+            group = next(source, None)
+            if group is None:
                 return
-            program, cohort = pair
-            _check_signature(program, cohort)
+            cohort, programs = group
+            _check_signatures(cohort, programs)
             ahead.append((cohort, [
-                pool.submit(execute, program, m.bindings, retriever, limits)
-                for m in cohort.members
+                [pool.submit(execute, program, m.bindings, retriever, limits)
+                 for m in cohort.members]
+                for program in programs
             ]))
 
     try:
         top_up()
         while ahead:
-            cohort, futures = ahead.popleft()
-            top_up()  # queue the next pairs before waiting on this one
-            yield _outcome(cohort, [f.result() for f in futures])
+            cohort, per_program = ahead.popleft()
+            top_up()  # queue the next groups before waiting on this one
+            yield tuple(_outcome(cohort, [f.result() for f in futures]) for futures in per_program)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -152,8 +158,8 @@ def run_cohort(
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> CohortOutcome:
-    """Execute the program on all 6 members: run_cohorts over one pair."""
-    return next(run_cohorts([(program, cohort)], retriever, limits))
+    """Execute the program on all 6 members: run_cohorts over one group of one."""
+    return next(run_cohorts([(cohort, (program,))], retriever, limits))[0]
 
 
 def apply_criterion(outcome: CohortOutcome, criterion: EvalCriterion) -> bool:
@@ -201,9 +207,9 @@ def self_consistency(
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
 ) -> CohortOutcome:
-    """Run k sampled programs on the cohort, then `vote` over them."""
-    pairs = [(program, cohort) for program in programs]
-    return vote(list(run_cohorts(pairs, retriever, limits)), cohort)
+    """Run k sampled programs on the cohort as one run_cohorts group, then
+    `vote` over them, as `eval --k` does."""
+    return vote(next(run_cohorts([(cohort, programs)], retriever, limits)), cohort)
 
 
 def _majority(votes: Counter) -> Optional[int]:

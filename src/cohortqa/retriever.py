@@ -36,18 +36,6 @@ class RetrieveResponse(NamedTuple):
     value: object = None
     reason: str = ""
 
-    @classmethod
-    def of_value(cls, value) -> "RetrieveResponse":
-        return cls(OUTCOME_VALUE, value)
-
-    @classmethod
-    def rejected(cls) -> "RetrieveResponse":
-        return cls(OUTCOME_REJECTED)
-
-    @classmethod
-    def error(cls, reason: str) -> "RetrieveResponse":
-        return cls(OUTCOME_ERROR, reason=reason)
-
 
 # immutable, so every rejected lookup of the mock can share it
 _REJECTED = RetrieveResponse(OUTCOME_REJECTED)
@@ -317,23 +305,23 @@ def parse_llm_reply(raw: str, kind: ValueKind) -> RetrieveResponse:
     """
     blocks = _FENCE_RE.findall(raw)
     if not blocks:
-        return RetrieveResponse.error("no fenced json block")
+        return RetrieveResponse(OUTCOME_ERROR, None, "no fenced json block")
     try:
         obj = json.loads(blocks[-1])
     except json.JSONDecodeError as exc:
-        return RetrieveResponse.error(f"bad json in fenced block: {exc.msg}")
+        return RetrieveResponse(OUTCOME_ERROR, None, f"bad json in fenced block: {exc.msg}")
     if not isinstance(obj, dict) or set(obj) != {"answer"}:
-        return RetrieveResponse.error('reply must be an object with the single key "answer"')
+        return RetrieveResponse(
+            OUTCOME_ERROR, None, 'reply must be an object with the single key "answer"')
     answer = obj["answer"]
     if answer == "idk":
-        return RetrieveResponse.rejected()
+        return _REJECTED
     if not _value_conforms(kind, answer):
-        return RetrieveResponse.error(
-            f"kind mismatch: {answer!r} is not a {kind.value}"
-        )
+        return RetrieveResponse(
+            OUTCOME_ERROR, None, f"kind mismatch: {answer!r} is not a {kind.value}")
     if kind is ValueKind.FLOAT:
         answer = float(answer)
-    return RetrieveResponse.of_value(answer)
+    return RetrieveResponse(OUTCOME_VALUE, answer)
 
 
 # --- remote backend ------------------------------------------------------
@@ -413,7 +401,7 @@ class RemoteRetriever:
 
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse:
         if not request.question:
-            return RetrieveResponse.error("empty question")
+            return RetrieveResponse(OUTCOME_ERROR, None, "empty question")
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
@@ -439,12 +427,12 @@ class RemoteRetriever:
                 wait_s = self._wait_s(attempt, getattr(resp, "headers", {}))
                 continue
             if status != 200:
-                return RetrieveResponse.error(f"http {status}")
+                return RetrieveResponse(OUTCOME_ERROR, None, f"http {status}")
             try:
                 content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):
-                return RetrieveResponse.error("malformed completion response")
+                return RetrieveResponse(OUTCOME_ERROR, None, "malformed completion response")
             if not isinstance(content, str):
-                return RetrieveResponse.error("completion content is not text")
+                return RetrieveResponse(OUTCOME_ERROR, None, "completion content is not text")
             return parse_llm_reply(content, request.kind)
-        return RetrieveResponse.error(last_reason)
+        return RetrieveResponse(OUTCOME_ERROR, None, last_reason)

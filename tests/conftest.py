@@ -54,3 +54,36 @@ def program_pool(sim_cohorts):
                 obj = json.loads(line)
                 pool.append((obj["name"], parse_program(obj["source"], header)))
     return pool
+
+
+_BARE_RETURN = (
+    "def answer(Film1: str, Film2: str, DocumentaryType: str, Country: str) -> int:\n"
+    "    return\n"
+)
+
+
+@pytest.fixture(params=["unknown cohort", "parse error"])
+def refused_batch(request, tmp_path):
+    """Cohorts and a program batch that `eval --k 2` refuses before any report,
+    with the line it prints. film-a's unparsable sample lies beyond --k."""
+    cohort = json.loads((FIXTURES / "cohorts.jsonl").read_text(encoding="utf-8"))
+    conj, short = (
+        json.loads((FIXTURES / f"programs/{name}_batch.jsonl").read_text(encoding="utf-8"))["source"]
+        for name in ("conjunction", "shortcut")
+    )
+    if request.param == "unknown cohort":
+        samples = {"film-a": [conj], "film-z": [conj]}
+        error = "eval: unknown cohort 'film-z'\n"
+    else:
+        samples = {"film-a": [conj, short, _BARE_RETURN], "film-b": [conj, _BARE_RETURN]}
+        error = "eval: parse error in film-b: forbidden construct: bare return (line 2, col 5)\n"
+    cohorts, programs = tmp_path / "cohorts.jsonl", tmp_path / "programs.jsonl"
+    with open(cohorts, "w") as out:
+        for cohort_id in ("film-a", "film-b"):
+            print(json.dumps(dict(cohort, cohort_id=cohort_id)), file=out)
+    with open(programs, "w") as out:
+        for cohort_id, sources in samples.items():
+            for index, source in enumerate(sources):
+                record = {"cohort_id": cohort_id, "sample_index": index, "source": source}
+                print(json.dumps(record), file=out)
+    return cohorts, programs, error

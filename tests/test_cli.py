@@ -667,3 +667,58 @@ def test_report_constants_are_pinned(tmp_path, capsys):
         # exact: group advantages use epsilon 1e-8 and match numpy below 8 rollouts
         expected = ((rewards - rewards.mean()) / (rewards.std() + 1e-8)).tolist()
         assert record["advantages"] == expected
+
+
+def test_eval_refuses_a_batch_before_any_report(refused_batch, tmp_path, capsys):
+    cohorts, programs, error = refused_batch
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "eval", "--cohorts", str(cohorts), "--programs", str(programs),
+                         "--facts", f"{FIX}/facts.jsonl", "--k", "2", "--output", str(report))
+    assert (code, out, err) == (1, "", error)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "check", "exec"])
+def test_a_repeated_cohort_id_names_the_id_and_the_file(command, tmp_path, capsys):
+    cohort = json.loads(_first_line(f"{FIX}/cohorts.jsonl"))
+    cohorts = tmp_path / "cohorts.jsonl"
+    cohorts.write_text(json.dumps(cohort) + "\n" + json.dumps(dict(cohort, domain="other")) + "\n",
+                       encoding="utf-8")
+    inputs = {
+        "eval": ["--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+                 "--facts", f"{FIX}/facts.jsonl"],
+        "check": ["--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
+        "exec": ["--program", f"{FIX}/programs/conjunction.py", "--cohort-id", cohort["cohort_id"],
+                 "--facts", f"{FIX}/facts.jsonl"],
+    }[command]
+    code, out, err = run(capsys, command, "--cohorts", str(cohorts), *inputs)
+    assert (code, out) == (1, "")
+    assert err == f"{command}: {cohorts}: cohort_id {cohort['cohort_id']!r} repeats\n"
+
+
+_NO_NAME = object()
+
+
+@pytest.mark.parametrize("names, error", [
+    (("generalizer", 7), "line 2: name must be a string, not 7 (at name)"),
+    (("generalizer", None), "line 2: name must be a string, not None (at name)"),
+    (("shortcut", "shortcut"), "line 2: candidate name 'shortcut' repeats line 1"),
+    ((_NO_NAME, "candidate-0"), "line 2: candidate name 'candidate-0' repeats line 1"),
+    (("candidate-1", _NO_NAME), "line 2: candidate name 'candidate-1' repeats line 1"),
+    ((_NO_NAME, _NO_NAME), None),
+], ids=["int", "null", "repeated", "default-repeated", "repeats-a-default", "defaults"])
+def test_sim_pool_names_must_be_distinct_strings(names, error, tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    lines = Path(f"{FIX}/pool.jsonl").read_text(encoding="utf-8").splitlines()
+    with open(pool, "w", encoding="utf-8") as out:
+        for line, name in zip(lines, names):
+            line = _without(line, "name")
+            print(line if name is _NO_NAME else _with(line, "name", name), file=out)
+    code, out, err = run(capsys, "sim", "--pool", str(pool), "--cohorts", f"{FIX}/sim_cohorts.jsonl",
+                         "--facts", f"{FIX}/facts.jsonl", "--updates", "3")
+    if error is None:
+        assert (code, err) == (0, "")
+        assert list(json.loads(out)["final_probabilities"]) == ["candidate-0", "candidate-1"]
+        return
+    assert (code, out) == (1, "")
+    assert err == f"sim: {pool}: {error}\n"

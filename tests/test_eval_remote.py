@@ -177,3 +177,15 @@ def test_eval_report_leaves_endpoint_credentials_out(tmp_path, monkeypatch):
     data = report.read_bytes()
     assert json.loads(data)["config"]["endpoint"] == "http://127.0.0.1:9/v1"
     assert b"bob" not in data and b"secret" not in data
+
+
+def test_eval_remote_refuses_a_batch_before_any_report(backend, refused_batch, tmp_path, capsys):
+    cohorts, programs, error = refused_batch
+    report = tmp_path / "report.json"
+    code = main([
+        "eval", "--cohorts", str(cohorts), "--programs", str(programs), "--k", "2",
+        "--retriever", "remote", "--endpoint", backend.endpoint, "--output", str(report),
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", error)
+    assert not report.exists()

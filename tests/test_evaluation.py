@@ -111,7 +111,7 @@ def test_run_cohort_signature_mismatch_raises():
 
 def test_run_cohort_parallel_matches_serial():
     serial = run_cohort(LOOKUP, _cohort(), _retr(missing=("Zeus",)))
-    [parallel] = run_cohorts([(LOOKUP, _cohort())], _retr(missing=("Zeus",)), jobs=4)
+    [(parallel,)] = run_cohorts([(_cohort(), [LOOKUP])], _retr(missing=("Zeus",)), jobs=4)
     assert serial.members == parallel.members
     assert serial.summary == parallel.summary
 
@@ -140,34 +140,42 @@ class _SlowRetriever:
 
 def test_run_cohorts_pool_matches_serial_in_input_order():
     programs = [LOOKUP, ALWAYS_YES, ALWAYS_FAILS, LOOKUP, ALWAYS_NO] * 3
-    pairs = [(program, _cohort()) for program in programs]
-    serial = list(run_cohorts(pairs, _retr(missing=("Hera",)), jobs=1))
+    # groups of 1, 3 and 5 programs: a group of 3 or 5 holds more member
+    # executions than the 2 * jobs queued ahead
+    groups, start = [], 0
+    for size in (1, 3, 5, 1, 5):
+        groups.append((_cohort(), programs[start:start + size]))
+        start += size
+    serial = list(run_cohorts(groups, _retr(missing=("Hera",)), jobs=1))
     slow = _SlowRetriever(_retr(missing=("Hera",)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches, more interleavings
     try:
-        pooled = list(run_cohorts(pairs, slow, jobs=3))
+        pooled = list(run_cohorts(groups, slow, jobs=3))
     finally:
         sys.setswitchinterval(interval)
+    assert [len(group) for group in pooled] == [1, 3, 5, 1, 5]
+    pooled = [o for group in pooled for o in group]
+    serial = [o for group in serial for o in group]
     assert [o.members for o in pooled] == [o.members for o in serial]
     assert [o.summary for o in pooled] == [o.summary for o in serial]
     assert [o.traces for o in pooled] == [o.traces for o in serial]
     assert 1 < slow.max_in_flight <= 3
 
 
-def test_run_cohorts_draws_pairs_lazily():
+def test_run_cohorts_draws_groups_lazily():
     drawn = []
 
-    def pairs():
+    def groups():
         for index in range(1000):
             drawn.append(index)
-            yield LOOKUP, _cohort()
+            yield _cohort(), [LOOKUP]
 
     for jobs in (1, 2, 8):
         drawn.clear()
-        outcomes = run_cohorts(pairs(), _SlowRetriever(_retr()), jobs=jobs)
-        assert next(outcomes).n_correct == 6
-        # about 2 * jobs member executions (6 per pair) are queued ahead
+        outcomes = run_cohorts(groups(), _SlowRetriever(_retr()), jobs=jobs)
+        assert next(outcomes)[0].n_correct == 6
+        # about 2 * jobs member executions (6 per group of 1) are queued ahead
         assert len(drawn) <= 2 * jobs // 6 + 2
         outcomes.close()
 

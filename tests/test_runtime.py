@@ -4,6 +4,8 @@ from cohortqa.data_model import load_cohorts
 from cohortqa.dsl import ValueKind, parse_program
 from cohortqa.evaluation import MemberOutcome
 from cohortqa.retriever import (
+    OUTCOME_ERROR,
+    OUTCOME_VALUE,
     FactEntry,
     FactTable,
     MockRetriever,
@@ -45,7 +47,7 @@ def table(facts: dict) -> MockRetriever:
 
 class ErrorRetriever:
     def retrieve(self, request):
-        return RetrieveResponse.error("backend down")
+        return RetrieveResponse(OUTCOME_ERROR, None, "backend down")
 
 
 EMPTY = table({})
@@ -418,7 +420,7 @@ def _records():
     event = RetrieveEvent("Is a real?", ValueKind.BOOL, "value", True)
     return [
         RetrieveRequest("Is a real?", ValueKind.BOOL),
-        RetrieveResponse.of_value(True),
+        RetrieveResponse(OUTCOME_VALUE, True),
         FactEntry(ValueKind.BOOL, True),
         event,
         ExecutionResult(STATUS_ANSWERED, 1, trace=(event,)),
