@@ -6,7 +6,7 @@ advantages, evaluates strict/lenient consistency, and ships a toy policy
 simulator showing the cohort reward suppressing shortcut programs.
 """
 
-# no `sim` here: it loads numpy, which only `cohortqa sim` needs
+# no `sim` here: only `cohortqa sim` needs it, so it loads on use
 from . import data_model, dsl, evaluation, retriever, reward, runtime
 
 __version__ = "0.1.0"

@@ -375,8 +375,6 @@ def cmd_sim(args, parser) -> int:
         parser.error(f"--lr must be finite, not {args.lr}")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
-    import numpy as np  # numpy loads only for sim
-
     from .sim import ToyTrainConfig, run_toy_training
 
     cohorts = load_cohorts(args.cohorts)
@@ -414,9 +412,7 @@ def cmd_sim(args, parser) -> int:
         seed=args.seed,
     )
     try:
-        # a diverged policy is reported below, not as softmax's NaN warning
-        with np.errstate(invalid="ignore"):
-            log = run_toy_training(config, pool, cohorts, retriever)
+        log = run_toy_training(config, pool, cohorts, retriever)
     except ValueError as exc:  # the policy diverged
         print(f"sim: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -1,16 +1,20 @@
 """Toy softmax policy over a candidate program pool, trained with REINFORCE
 on group-normalized cohort rewards. Demonstrates that the cohort-gated reward
-suppresses shortcut programs that only fit the original question."""
+suppresses shortcut programs that only fit the original question.
+
+The policy holds one float logit per candidate program, a handful of them, so
+the loop needs no array library: plain floats do the vector math, and a seeded
+`random.Random` draws the rollouts."""
 
 from __future__ import annotations
 
 import math
+import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .data_model import CohortInstance
 from .dsl import Program
@@ -18,6 +22,7 @@ from .evaluation import CohortOutcome, run_cohort
 from .reward import (
     VARIANT_COHORT,
     VARIANT_NORMAL,
+    _left_sum,
     cohort_reward,
     group_advantages,
     rejection_penalty,
@@ -33,14 +38,19 @@ MODES = (MODE_COHORT, MODE_NORMAL, MODE_ORG)
 
 ORG_ACCURACY_SCALE = 1.2  # full-cohort accuracy mass granted on one question
 
-# how far probabilities may sum from 1: Generator.choice's own tolerance
-PROBABILITY_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# how far probabilities may sum from 1 (numpy's Generator.choice tolerance)
+PROBABILITY_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def softmax(logits: Sequence[float]) -> list[float]:
+    """Probabilities as floats: shifted by the max logit, summed left to right.
+
+    Non-finite logits give NaN probabilities, never an exception.
+    """
+    top = max(logits)
+    exp = [math.exp(x - top) for x in logits]
+    total = _left_sum(exp)
+    return [e / total for e in exp]
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,8 @@ class ToyTrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning rate must be finite, not {self.learning_rate!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, not {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
 
@@ -98,47 +110,47 @@ def mode_reward(outcome: CohortOutcome, mode: str) -> float:
 
 
 def policy_gradient_step(
-    logits: np.ndarray,
+    logits: Sequence[float],
     sampled: Sequence[int],
     advantages: Sequence[float],
     learning_rate: float,
     probs: Sequence[float] | None = None,
-) -> np.ndarray:
+) -> list[float]:
     """Exact softmax score-function update for advantage-weighted log-prob.
 
     For each sampled index i: grad log pi(i) = onehot(i) - p, with p held
     fixed at the pre-update distribution; contributions sum over rollouts.
-    `probs` is that distribution, `softmax(logits)` or its `tolist()`, when
-    the caller has it. The arithmetic runs on plain floats in the order of
-    the array form (grad -= adv * p; grad[i] += adv; logits + lr * grad), so
-    both agree bit for bit.
+    `probs` is that distribution, `softmax(logits)`, when the caller has it.
+    The arithmetic runs in the order of the array form (grad -= adv * p;
+    grad[i] += adv; logits + lr * grad), so an array version of this step
+    agrees with it bit for bit.
     """
-    p = softmax(logits).tolist() if probs is None else probs
+    p = softmax(logits) if probs is None else probs
     grad = [0.0] * len(p)
     for i, adv in zip(sampled, advantages):
         for j, p_j in enumerate(p):
             grad[j] -= adv * p_j
         grad[i] += adv
-    return np.array([x + learning_rate * g for x, g in zip(logits.tolist(), grad)])
+    return [x + learning_rate * g for x, g in zip(logits, grad)]
 
 
-def sample_rollouts(rng: np.random.Generator, probs: Sequence[float], n: int) -> list[int]:
-    """Draw `n` indices as `rng.choice(len(probs), size=n, p=probs)` draws them.
+def sample_rollouts(rng: random.Random, probs: Sequence[float], n: int) -> list[int]:
+    """Draw `n` indices from the distribution `probs`, one `rng.random()` each.
 
-    Once its arguments pass its checks, Generator.choice sums `probs` left to
-    right, divides the sums by the last one, draws `rng.random(n)` and places
-    each uniform with `searchsorted(side="right")`. The same steps on plain
-    floats give the same indices and leave the bit generator in the same
-    state, without choice's per-call cost. Of its checks, this keeps the one
-    a softmax output can fail: a ValueError unless `probs` sum to 1 within
-    PROBABILITY_SUM_ATOL, which a NaN fails too.
+    The steps are those of numpy's `Generator.choice(len(probs), size=n,
+    p=probs)`: sum `probs` left to right, divide the sums by the last one,
+    and place each uniform with `bisect_right`, so a uniform equal to a
+    cumulative sum goes to the next index and a zero-probability index is
+    never drawn. Unless `probs` sum to 1 within PROBABILITY_SUM_ATOL (a NaN
+    fails too), it raises a ValueError before drawing anything.
     """
     cdf = list(accumulate(probs))
     total = cdf[-1]
     if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     cdf = [c / total for c in cdf]
-    return [bisect_right(cdf, u) for u in rng.random(n).tolist()]
+    draw = rng.random
+    return [bisect_right(cdf, draw()) for _ in range(n)]
 
 
 def run_toy_training(
@@ -150,22 +162,30 @@ def run_toy_training(
 ) -> TrainingLog:
     """Round-robin over cohorts; sample rollouts, reward, normalize, update.
 
-    Rollouts are drawn by `sample_rollouts`, draw for draw as
-    `Generator.choice` would draw them from the same seed. A step that leaves
-    the probabilities summing away from 1, such as logits overflowing at a
-    huge learning rate, raises a ValueError naming that update.
+    Rollouts are drawn by `sample_rollouts` from `random.Random(config.seed)`,
+    so one seed gives the same log on every run and Python version. A step
+    that leaves the probabilities summing away from 1, such as logits
+    overflowing at a huge learning rate, raises a ValueError naming that
+    update.
+
+    A retriever `error` outcome (the mock's answer to an empty question or to
+    a kind that differs from its table's) fails that member's execution as a
+    program bug does: the member is a `runtime_failure` and not correct (it
+    counts as rejected only if an earlier lookup of its run was rejected), and
+    the errored call counts toward `n_calls`. The rollout is rewarded from that
+    outcome, and the reward cached, like any other.
     """
     if not pool:
         raise ValueError("empty candidate pool")
     if not cohorts:
         raise ValueError("empty cohort list")
-    rng = np.random.default_rng(config.seed)
-    logits = np.zeros(len(pool))  # the uniform policy
+    rng = random.Random(config.seed)
+    logits = [0.0] * len(pool)  # the uniform policy
     log = TrainingLog()
     # deterministic retriever => rewards are pure in (program, cohort); the
     # outcome itself is not kept once its reward is known
     reward_cache: dict[tuple[int, int], float] = {}
-    probs = softmax(logits).tolist()
+    probs = softmax(logits)
 
     for update_index in range(config.updates):
         cohort_index = update_index % len(cohorts)
@@ -184,7 +204,7 @@ def run_toy_training(
             rewards.append(reward)
         group = group_advantages(rewards)
         logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
-        probs = softmax(logits).tolist()  # the next update's sampling distribution
+        probs = softmax(logits)  # the next update's sampling distribution
         log.updates.append(
             UpdateRecord(
                 cohort_index=cohort_index,
@@ -194,7 +214,7 @@ def run_toy_training(
                 probabilities_after=tuple(probs),
             )
         )
-    total = sum(probs)  # no draw checks the last step's distribution
+    total = _left_sum(probs)  # no draw checks the last step's distribution
     if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
         raise ValueError(
             f"policy diverged at update {config.updates}: probabilities sum to {total!r}, not 1")

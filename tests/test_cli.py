@@ -205,6 +205,16 @@ def test_sim_runs_and_logs(tmp_path, capsys):
     lines = log_path.read_text().strip().splitlines()
     assert len(lines) == 21  # meta line + one record per update
     assert json.loads(lines[0])["variant"] == "cohort"
+    # seed 0's draws: random.Random gives the same stream on every Python
+    # version, so a change of generator, of seeding or of draws per rollout
+    # shows here on each of them
+    sampled = ([[1, 1, 0, 0, 1]] + [[0] * 5] * 2 + [[0, 0, 1, 0, 0]] + [[0] * 5] * 14
+               + [[0, 0, 0, 0, 1], [0] * 5])
+    records = [json.loads(line) for line in lines[1:]]
+    assert [record["sampled"] for record in records] == sampled
+    # generalizer 1.5 (5/6 correct, 2 calls, 1 rejected), shortcut -0.6
+    assert [record["rewards"] for record in records] == [
+        [{0: 1.5, 1: -0.6}[i] for i in draws] for draws in sampled]
 
 
 def test_stats_renders_table(tmp_path, capsys):
@@ -399,14 +409,33 @@ def test_eval_leaves_backend_errored_cohorts_out_of_accuracy(tmp_path, capsys):
     assert "100.0" in out
 
 
-def test_importing_the_cli_loads_neither_numpy_nor_requests():
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports cohortqa from this checkout's src/."""
     src = str(Path(cohortqa.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, cohortqa.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_requests():
+    probe = ("import sys, cohortqa.cli, cohortqa.sim; "
+             "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
+    result = _python("-c", probe)
+    assert (result.returncode, result.stdout.strip()) == (0, "[]")
+
+
+def test_sim_runs_where_numpy_cannot_be_imported(tmp_path, capsys):
+    argv = ["sim", "--pool", f"{FIX}/pool.jsonl", "--cohorts", f"{FIX}/sim_cohorts.jsonl",
+            "--facts", f"{FIX}/facts.jsonl", "--updates", "50", "--seed", "3", "--no-timestamp"]
+    code, out, _ = run(capsys, *argv, "--output", str(tmp_path / "normal.jsonl"))
+    assert code == 0
+    # a None entry in sys.modules makes `import numpy` raise ImportError
+    blocked = ("import sys; sys.modules['numpy'] = None; "
+               "from cohortqa.cli import main; sys.exit(main(sys.argv[1:]))")
+    result = _python("-c", blocked, *argv, "--output", str(tmp_path / "no-numpy.jsonl"))
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+    assert (tmp_path / "no-numpy.jsonl").read_bytes() == (tmp_path / "normal.jsonl").read_bytes()
 
 
 def _first_line(path: str) -> str:

@@ -1,10 +1,18 @@
+import math
+import random
+import re
 from collections import Counter
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cohortqa.sim
+from cohortqa.dsl import parse_program
 from cohortqa.evaluation import run_cohort
+from cohortqa.reward import CohortExecutionSummary
+from cohortqa.runtime import STATUS_FAILURE, execute
 from cohortqa.sim import (
     MODE_COHORT,
     MODE_NORMAL,
@@ -24,11 +32,25 @@ def _pool(program_pool):
 
 
 def test_softmax_properties():
-    probs = softmax(np.array([0.0, 1.0, 2.0]))
-    assert probs.sum() == pytest.approx(1.0)
-    assert np.all(np.diff(probs) > 0)
+    probs = softmax([0.0, 1.0, 2.0])
+    assert all(type(p) is float for p in probs)
+    assert sum(probs) == pytest.approx(1.0)
+    assert probs[0] < probs[1] < probs[2]
     # large logits do not overflow
-    assert np.isfinite(softmax(np.array([1000.0, 1001.0]))).all()
+    assert all(math.isfinite(p) for p in softmax([1000.0, 1001.0]))
+    # the array form, to numpy's last-bit differences in exp
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        logits = rng.normal(size=int(rng.integers(1, 9))) * 10
+        exp = np.exp(logits - logits.max())
+        assert np.allclose(softmax(logits.tolist()), exp / exp.sum(), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("logits", [[float("inf"), 0.0], [float("-inf")] * 2, [0.0, float("nan")],
+                                    [float("nan"), 1.0], [float("inf"), float("-inf")]])
+def test_softmax_of_non_finite_logits_is_nan_not_an_error(logits):
+    # a diverged policy must reach the sum check, which names the update
+    assert math.isnan(sum(softmax(logits)))
 
 
 def test_config_validation():
@@ -41,6 +63,10 @@ def test_config_validation():
             ToyTrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError, match="seed"):
         ToyTrainConfig(seed=-1)
+    # random.Random would hash these into a seed silently
+    for seed in (1.5, True, "0", None, np.int64(3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be an int, not {seed!r}')}$"):
+            ToyTrainConfig(seed=seed)
 
 
 def test_policy_gradient_matches_manual():
@@ -88,41 +114,44 @@ def test_zero_advantages_leave_logits_unchanged():
 def test_policy_gradient_same_with_and_without_probs():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        logits = rng.normal(size=6)
+        logits = rng.normal(size=6).tolist()
         sampled = rng.integers(0, 6, size=5).tolist()
         advantages = rng.normal(size=5).tolist()
         without = policy_gradient_step(logits, sampled, advantages, 0.5)
         with_probs = policy_gradient_step(logits, sampled, advantages, 0.5, softmax(logits))
-        assert without.dtype == with_probs.dtype == np.float64
-        assert np.array_equal(without, with_probs)
+        assert all(type(x) is float for x in without + with_probs)
+        assert without == with_probs
+
+
+class _FixedUniforms(np.random.Generator):
+    """A numpy generator whose `random(n)` returns the next n of the given
+    uniforms; `choice` calls it too, so it places them as numpy does."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = iter(uniforms)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.array(list(islice(self.uniforms, size)))
 
 
 def test_sampler_draws_what_generator_choice_draws():
     # pools of 1-16, logit scales up to 800 so that some probabilities
-    # underflow to 0, and 1-10 rollouts: same draws, same bit generator state
+    # underflow to 0, and 1-10 rollouts: the indices numpy's choice gives for
+    # the same uniforms, and exactly one random() per rollout
     cases = np.random.default_rng(2024)
     underflowed = 0
     for seed in range(600):
         size = int(cases.integers(1, 17))
         n = int(cases.integers(1, 11))
         scale = float(cases.choice([0.1, 1.0, 10.0, 100.0, 800.0]))
-        probs = softmax(cases.normal(size=size) * scale)
-        underflowed += bool((probs == 0).any())
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sample_rollouts(ours, probs.tolist(), n) == theirs.choice(size, size=n, p=probs).tolist()
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        probs = softmax((cases.normal(size=size) * scale).tolist())
+        underflowed += 0.0 in probs
+        ours, twin = random.Random(seed), random.Random(seed)
+        expected = _FixedUniforms(iter(twin.random, None)).choice(size, size=n, p=probs).tolist()
+        assert sample_rollouts(ours, probs, n) == expected
+        assert ours.getstate() == twin.getstate()
     assert underflowed > 0
-
-
-class _FixedUniforms(np.random.Generator):
-    """A generator whose `random(n)` returns chosen uniforms; `choice` calls it too."""
-
-    def __init__(self, uniforms):
-        super().__init__(np.random.PCG64(0))
-        self.uniforms = uniforms
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        return np.array(self.uniforms[:size])
 
 
 @pytest.mark.parametrize("probs, uniforms", [
@@ -135,23 +164,25 @@ class _FixedUniforms(np.random.Generator):
 def test_sampler_places_uniforms_as_generator_choice_does(probs, uniforms):
     n = len(uniforms)
     expected = _FixedUniforms(uniforms).choice(len(probs), size=n, p=probs).tolist()
-    assert sample_rollouts(_FixedUniforms(uniforms), probs, n) == expected
+    # a stand-in for random.Random whose random() returns the same uniforms
+    draws = SimpleNamespace(random=iter(uniforms).__next__)
+    assert sample_rollouts(draws, probs, n) == expected
 
 
 @pytest.mark.parametrize("probs", [[0.5, float("nan")], [0.5, 0.4], [0.6, 0.6]])
 def test_sampler_rejects_probabilities_that_do_not_sum_to_one(probs):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = random.Random(0)
+    state = rng.getstate()
     with pytest.raises(ValueError, match="not 1"):
         sample_rollouts(rng, probs, 3)
-    assert rng.bit_generator.state == state  # nothing drawn
+    assert rng.getstate() == state  # nothing drawn
 
 
 @pytest.mark.parametrize("updates", [1, 5])
 def test_overflowing_logits_name_the_diverged_update(updates, program_pool, sim_cohorts, fact_retriever):
     # the first step pushes the logits to +-inf, so softmax returns NaN
     config = ToyTrainConfig(updates=updates, learning_rate=1e308)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^policy diverged at update 1: "):
+    with pytest.raises(ValueError, match="^policy diverged at update 1: probabilities sum to nan, not 1$"):
         run_toy_training(config, _pool(program_pool), sim_cohorts, fact_retriever)
 
 
@@ -212,17 +243,24 @@ def test_empty_pool_rejected(sim_cohorts, fact_retriever):
         run_toy_training(ToyTrainConfig(updates=1), [], sim_cohorts, fact_retriever)
 
 
+def _array_softmax(logits):
+    # math.exp, not np.exp: numpy's exp may round the last bit differently
+    exp = np.array([math.exp(x) for x in logits - logits.max()])
+    return exp / exp.sum()
+
+
 def _reference_training(config, pool, cohorts, retriever):
     """The loop as it was before rewards were cached: one outcome cache,
-    mode_reward per rollout, numpy group statistics and a softmax in each
-    step. Returns the records' JSON and the final probabilities."""
-    rng = np.random.default_rng(config.seed)
+    mode_reward per rollout, numpy group statistics, array softmax and step,
+    and numpy's Generator.choice placing the uniforms of the seed's
+    random.Random. Returns the records' JSON and the final probabilities."""
+    sampler = _FixedUniforms(iter(random.Random(config.seed).random, None))
     logits = np.zeros(len(pool))
     outcomes = {}
     records = []
     for update_index in range(config.updates):
         cohort_index = update_index % len(cohorts)
-        sampled = rng.choice(len(pool), size=config.rollouts_per_update, p=softmax(logits))
+        sampled = sampler.choice(len(pool), size=config.rollouts_per_update, p=_array_softmax(logits))
         rewards = []
         for program_index in sampled:
             key = (int(program_index), cohort_index)
@@ -231,7 +269,7 @@ def _reference_training(config, pool, cohorts, retriever):
             rewards.append(mode_reward(outcomes[key], config.mode))
         arr = np.asarray(rewards, dtype=float)
         advantages = ((arr - arr.mean()) / (arr.std() + 1e-8)).tolist()
-        probs = softmax(logits)
+        probs = _array_softmax(logits)
         grad = np.zeros_like(logits)
         for i, adv in zip(sampled, advantages):
             grad -= adv * probs
@@ -242,9 +280,9 @@ def _reference_training(config, pool, cohorts, retriever):
             "sampled": [int(i) for i in sampled],
             "rewards": arr.tolist(),
             "advantages": advantages,
-            "probabilities_after": softmax(logits).tolist(),
+            "probabilities_after": _array_softmax(logits).tolist(),
         })
-    return records, tuple(softmax(logits).tolist())
+    return records, tuple(_array_softmax(logits).tolist())
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -276,3 +314,39 @@ def test_run_cohort_once_per_program_cohort_pair(program_pool, sim_cohorts, fact
     assert sum(len(u.sampled) for u in log.updates) == 200
     assert set(calls) == sampled_pairs
     assert set(calls.values()) == {1}
+
+
+_ERROR_LOOKUPS = {
+    # the mock answers both with an `error` outcome
+    "empty question": 'retrieve("", bool)',
+    "kind mismatch": 'retrieve("Is Control Room a documentary film that involves Iraq?", int)',
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(_ERROR_LOOKUPS))
+def test_a_backend_error_is_rewarded_and_cached_as_a_runtime_failure(
+        lookup, program_pool, sim_cohorts, fact_retriever, monkeypatch):
+    header = sim_cohorts[0].template.function_header
+    erroring = parse_program(f"{header}:\n    ok = {_ERROR_LOOKUPS[lookup]}\n    return 1\n", header)
+    result = execute(erroring, sim_cohorts[0].original.bindings, fact_retriever)
+    assert result.status == STATUS_FAILURE
+    assert result.failure_reason.startswith("retriever backend error: ")
+    outcome = run_cohort(erroring, sim_cohorts[0], fact_retriever)
+    assert [[event.outcome for event in trace] for trace in outcome.traces] == [["error"]] * 6
+    # no member correct or rejected; the errored call counts toward n_calls
+    assert outcome.summary == CohortExecutionSummary(n_correct=0, n_calls=1, n_rejected=0)
+
+    calls = Counter()
+
+    def counting_run_cohort(program, cohort, retriever, limits):
+        calls[program is erroring] += 1
+        return run_cohort(program, cohort, retriever, limits)
+
+    monkeypatch.setattr(cohortqa.sim, "run_cohort", counting_run_cohort)
+    by_name = dict(program_pool)
+    config = ToyTrainConfig(updates=20, seed=4)
+    log = run_toy_training(config, [by_name["generalizer"], erroring], sim_cohorts, fact_retriever)
+    rewards = {r for u in log.updates for i, r in zip(u.sampled, u.rewards) if i == 1}
+    # rewarded: R_acc 0 (gated), R_ret 0 (one call), R_rej 0; not skipped
+    assert rewards == {mode_reward(outcome, MODE_COHORT)} == {0.0}
+    assert calls[True] == 1  # cached after its first rollout
