@@ -381,17 +381,21 @@ def cmd_sim(args, parser) -> int:
     if not cohorts:
         raise SchemaError("no cohorts", path=args.cohorts)
     # the pool is parsed against the first cohort's header, so every cohort
-    # must take the same parameters, as run_cohort requires
-    params = cohorts[0].template.parameter_names
+    # must take the same parameter names and kinds, as run_cohort requires
+    first = cohorts[0].template
     for cohort in cohorts:
-        if cohort.template.parameter_names != params:
+        if cohort.template.parameter_names != first.parameter_names:
             raise SchemaError(
                 f"cohort {cohort.cohort_id!r} params {list(cohort.template.parameter_names)} "
-                f"do not match the first cohort's params {list(params)}", path=args.cohorts)
+                f"do not match the first cohort's params {list(first.parameter_names)}",
+                path=args.cohorts)
+        if cohort.template.signature != first.signature:
+            raise SchemaError(
+                f"cohort {cohort.cohort_id!r} header {cohort.template.function_header!r} "
+                f"does not match the first cohort's header {first.function_header!r}", path=args.cohorts)
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
-    header = cohorts[0].template.function_header
-    candidates = list(read_jsonl(
-        args.pool, lambda obj, line: (line, obj, parse_program(obj["source"], header)), ("source",)))
+    candidates = list(read_jsonl(args.pool, lambda obj, line: (
+        line, obj, parse_program(obj["source"], first.function_header)), ("source",)))
     if not candidates:
         raise SchemaError("no candidate programs", path=args.pool)
     lines: dict[str, int] = {}  # candidate name -> its line, in pool order

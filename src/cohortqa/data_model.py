@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
+from .dsl import ParseError, ValueKind, parse_header
+
 COHORT_SIZE = 6  # 1 original + 5 variants
 NUM_VARIANTS = COHORT_SIZE - 1
 
@@ -88,6 +90,8 @@ class AbstractionTemplate:
     options: tuple[str, ...]
     function_header: str
     domain_tag: str = "other"
+    # (name, kind) pairs of the header, parsed once at load
+    signature: tuple[tuple[str, ValueKind], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         placeholders = set(_PLACEHOLDER_RE.findall(self.masked_question))
@@ -108,7 +112,12 @@ class AbstractionTemplate:
             raise SchemaError("empty option text", field_path="options")
         if len(set(self.options)) != len(self.options):
             raise SchemaError("options must be pairwise distinct", field_path="options")
-        header_params = _header_param_names(self.function_header)
+        try:
+            signature = parse_header(self.function_header)
+        except ParseError as exc:
+            raise SchemaError(str(exc), field_path="function_header") from exc
+        object.__setattr__(self, "signature", signature)
+        header_params = tuple(name for name, _ in signature)
         if header_params != self.parameter_names:
             raise SchemaError(
                 f"function header params {list(header_params)} != "
@@ -168,22 +177,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(m.ok for m in self.members)
-
-
-def _header_param_names(header: str) -> tuple[str, ...]:
-    m = re.match(r"\s*def\s+answer\s*\((.*)\)\s*->\s*int\s*:?\s*$", header)
-    if m is None:
-        raise SchemaError(f"unparseable function header: {header!r}", field_path="function_header")
-    inner = m.group(1).strip()
-    if not inner:
-        return ()
-    names = []
-    for part in inner.split(","):
-        name = part.split(":")[0].strip()
-        if not name.isidentifier():
-            raise SchemaError(f"bad parameter {part.strip()!r} in header", field_path="function_header")
-        names.append(name)
-    return tuple(names)
 
 
 def _check_binding_keys(template: AbstractionTemplate, bindings: Mapping[str, str],
@@ -256,6 +249,9 @@ def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
     for key in required:
         if key not in obj:
             raise SchemaError(f"missing key {key!r}", key, line)
+    for key in ("cohort_id", "masked_question", "function_header"):
+        if not isinstance(obj[key], str):
+            raise SchemaError(f"{key} must be a string, not {obj[key]!r}", key, line)
     options = obj["options"]
     if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
         raise SchemaError("options must be a list of strings", "options", line)
@@ -267,7 +263,7 @@ def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
         raise SchemaError(f"unknown domain {domain!r}, expected one of {KNOWN_DOMAINS}", "domain", line)
     try:
         template = AbstractionTemplate(
-            template_id=str(obj["cohort_id"]),
+            template_id=obj["cohort_id"],
             masked_question=obj["masked_question"],
             parameter_names=tuple(parameters),
             options=tuple(options),
@@ -290,7 +286,7 @@ def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
     )
     try:
         return CohortInstance(
-            cohort_id=str(obj["cohort_id"]), template=template, original=original, variants=variants
+            cohort_id=obj["cohort_id"], template=template, original=original, variants=variants
         )
     except SchemaError as exc:  # binding keys that differ from the parameters
         raise SchemaError(exc.message, exc.field_path, line) from exc

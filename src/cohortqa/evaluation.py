@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .data_model import CohortInstance
-from .dsl import Program
+from .dsl import Program, format_program
 from .retriever import OUTCOME_REJECTED
 from .reward import CohortExecutionSummary
 from .runtime import STATUS_ANSWERED, ExecutionLimits, ExecutionResult, RetrieveEvent, execute
@@ -69,12 +69,12 @@ class CohortOutcome:
 
 
 def _check_signatures(cohort: CohortInstance, programs: Sequence[Program]) -> None:
+    """Each program must take the template's parameter names and kinds, in order."""
     for program in programs:
-        if program.param_names != cohort.template.parameter_names:
-            raise ValueError(
-                f"program params {list(program.param_names)} do not match template "
-                f"params {list(cohort.template.parameter_names)}"
-            )
+        if program.params != cohort.template.signature:
+            found = format_program(program).partition(":\n")[0]
+            raise ValueError(f"program header {found!r} does not match template header "
+                             f"{cohort.template.function_header!r}")
 
 
 def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:

@@ -5,12 +5,14 @@ the few-shot prompt's simple/complex rules; no backend applies it."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import re
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Protocol
 
@@ -125,10 +127,26 @@ class FactTable:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FactTable":
-        return cls(dict(read_jsonl(path, _fact, ("q", "kind", "value"))))
+        """Load a fact file; a question may repeat only with the same kind and value."""
+        counted = itertools.count()  # zip advances it once per fact, with no Python loop
+        table = cls(dict(map(itemgetter(0), zip(read_jsonl(path, _fact, _FACT_KEYS), counted))))
+        if next(counted) > len(table):  # a question repeats: only then is the file read again
+            _check_repeats(path)
+        return table
 
 
 _KINDS = {kind.value: kind for kind in ValueKind}
+_FACT_KEYS = ("q", "kind", "value")
+
+
+def _check_repeats(path: str | Path) -> None:
+    seen: dict[str, tuple[int, FactEntry]] = {}  # normalized question -> first line, entry
+    for line, question, key, entry in read_jsonl(
+            path, lambda record, line: (line, record["q"], *_fact(record, line)), _FACT_KEYS):
+        first_line, first = seen.setdefault(key, (line, entry))
+        if first != entry:
+            raise SchemaError(f"question {question!r} repeats line {first_line} with a "
+                              "different kind or value", line=line, path=path)
 
 
 def _fact(record: dict, line: int) -> tuple[str, FactEntry]:

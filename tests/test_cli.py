@@ -485,6 +485,12 @@ _BATCH_TYPES = [("mixed-sample-index", "sample_index", "b"),
                 ("list-cohort-id", "cohort_id", ["hotpotqa-film-0001"]),
                 ("int-source", "source", 5)]
 
+# the cohort keys that must be strings
+_COHORT_TEXT_FIELDS = [("null-cohort-id", "cohort_id", None),
+                       ("int-cohort-id", "cohort_id", 5),
+                       ("int-masked-question", "masked_question", 5),
+                       ("int-function-header", "function_header", 5)]
+
 
 _BAD_LINES = [
     *((name, "malformed-json", "{nope") for name in _JSONL_INPUTS),
@@ -492,6 +498,9 @@ _BAD_LINES = [
     *((name, "missing-key", _without(_JSONL_INPUTS[name][1], key))
       for name, key in _REQUIRED_KEY.items()),
     ("facts", "bad-kind", '{"q": "Is x?", "kind": "colour", "value": "red"}'),
+    ("facts", "conflicting-repeat", _with(_JSONL_INPUTS["facts"][1], "value", False)),
+    *(("cohorts", case, _with(_JSONL_INPUTS["cohorts"][1], key, value))
+      for case, key, value in _COHORT_TEXT_FIELDS),
     ("outcomes", "count-out-of-range", _OUTCOME.replace('"n_correct": 3', '"n_correct": 9')),
     *((name, case, _with(_JSONL_INPUTS[name][1], key, value))
       for name in ("programs", "check-programs") for case, key, value in _BATCH_TYPES),
@@ -605,6 +614,8 @@ def test_report_on_a_malformed_report_names_the_key(report, problem, tmp_path, c
 # each command that loads cohorts, with its other inputs
 _LOADS_COHORTS = {
     "validate": lambda path: ["validate", path],
+    "check": lambda path: ["check", "--cohorts", path,
+                           "--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
     "eval": lambda path: ["eval", "--cohorts", path, "--facts", f"{FIX}/facts.jsonl",
                           "--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
     "exec": lambda path: ["exec", "--cohorts", path, "--facts", f"{FIX}/facts.jsonl",
@@ -646,6 +657,50 @@ def test_out_of_range_gold_fails_at_load_naming_the_member(command, tmp_path, ca
     )
 
 
+@pytest.mark.parametrize("command", _LOADS_COHORTS)
+def test_a_header_kind_programs_cannot_take_fails_at_load(command, tmp_path, capsys):
+    record = json.loads(_first_line(f"{FIX}/cohorts.jsonl"))
+    record["function_header"] = record["function_header"].replace("DocumentaryType: str",
+                                                                  "DocumentaryType: dict")
+    path = tmp_path / "cohorts.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *_LOADS_COHORTS[command](str(path)))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"{command}: {path}: line 1: signature mismatch: expected 'parameter annotated with "
+        "int/float/str/bool/list', found 'DocumentaryType: dict' (at function_header)\n"
+    )
+
+
+# each command that loads facts, with its other inputs
+_LOADS_FACTS = {
+    "eval": lambda path: ["eval", "--cohorts", f"{FIX}/cohorts.jsonl", "--facts", path,
+                          "--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
+    "exec": lambda path: ["exec", "--cohorts", f"{FIX}/cohorts.jsonl", "--facts", path,
+                          "--program", f"{FIX}/programs/conjunction.py",
+                          "--cohort-id", "hotpotqa-film-0001"],
+    "sim": lambda path: ["sim", "--cohorts", f"{FIX}/sim_cohorts.jsonl", "--facts", path,
+                         "--pool", f"{FIX}/pool.jsonl", "--updates", "3"],
+}
+
+
+@pytest.mark.parametrize("command", _LOADS_FACTS)
+def test_a_fact_that_repeats_with_another_value_fails_at_load(command, tmp_path, capsys):
+    facts = Path(f"{FIX}/facts.jsonl").read_text(encoding="utf-8").splitlines()
+    question = json.loads(facts[1])["q"].lower().rstrip("?")
+    repeat = json.dumps({"q": question, "kind": "bool", "value": False})
+    path = tmp_path / "facts.jsonl"
+    path.write_text("\n".join([*facts, repeat]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *_LOADS_FACTS[command](str(path)))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"{command}: {path}: line {len(facts) + 1}: question {question!r} "
+        "repeats line 2 with a different kind or value\n"
+    )
+
+
 def _xy_cohort(cohort_id: str) -> dict:
     def member(x: str, y: str) -> dict:
         return {"bindings": {"X": x, "Y": y}, "question": f"Is {x} bigger than {y}?", "gold": 0}
@@ -670,6 +725,24 @@ def test_sim_rejects_cohorts_with_different_parameters(tmp_path, capsys):
     assert err == (
         f"sim: {path}: cohort 'xy-1' params ['X', 'Y'] do not match the first cohort's "
         "params ['Film1', 'Film2', 'DocumentaryType', 'Country']\n"
+    )
+    assert not log.exists()
+
+
+def test_sim_rejects_cohorts_whose_parameter_kinds_differ(tmp_path, capsys):
+    first = _first_line(f"{FIX}/sim_cohorts.jsonl")
+    header = "def answer(Film1: str, Film2: str, DocumentaryType: bool, Country: list) -> int"
+    second = dict(json.loads(first), cohort_id="kinds-1", function_header=header)
+    path = tmp_path / "cohorts.jsonl"
+    path.write_text(first + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+    log = tmp_path / "log.jsonl"
+    code, out, err = run(capsys, "sim", "--cohorts", str(path), "--facts", f"{FIX}/facts.jsonl",
+                         "--pool", f"{FIX}/pool.jsonl", "--updates", "3", "--output", str(log))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"sim: {path}: cohort 'kinds-1' header {header!r} does not match the first cohort's "
+        f"header {json.loads(first)['function_header']!r}\n"
     )
     assert not log.exists()
 

@@ -15,6 +15,7 @@ from cohortqa.data_model import (
     read_jsonl,
     validate_cohort,
 )
+from cohortqa.dsl import ValueKind, parse_header
 
 
 def _template(**overrides):
@@ -43,6 +44,48 @@ def test_template_rejects_placeholder_mismatch():
 def test_template_rejects_header_param_mismatch():
     with pytest.raises(SchemaError):
         _template(function_header="def answer(Y: str, X: str) -> int")
+
+
+@pytest.mark.parametrize("header", [
+    "def answer(X: str, Y: str) -> int",
+    "def answer(X: bool, Y: list) -> int:",
+    "  def answer( X : int,Y:float )->int  ",
+])
+def test_template_signature_is_the_parsed_header(header):
+    t = _template(function_header=header)
+    assert t.signature == parse_header(header)
+    assert [name for name, _ in t.signature] == ["X", "Y"]
+    # the signature follows from the header, so it is neither compared nor shown
+    assert t == _template(function_header=header)
+    assert "signature" not in repr(t)
+
+
+def test_template_signature_holds_the_kinds():
+    t = _template(function_header="def answer(X: bool, Y: list) -> int")
+    assert t.signature == (("X", ValueKind.BOOL), ("Y", ValueKind.LIST))
+
+
+@pytest.mark.parametrize("header, message", [
+    ("def answer(X: str, Y: dict) -> int",
+     "signature mismatch: expected 'parameter annotated with int/float/str/bool/list', "
+     "found 'Y: dict'"),
+    ("def answer(X, Y) -> int",
+     "signature mismatch: expected 'parameter annotated with int/float/str/bool/list', "
+     "found 'X: <missing>'"),
+    ("def answer(X: str, Y: str) -> str", "signature mismatch: expected '-> int', found 'str'"),
+    ("def answer(X: str, Y: str)", "signature mismatch: expected '-> int', found '<missing>'"),
+    ("def ask(X: str, Y: str) -> int",
+     "signature mismatch: expected 'def answer(...)', found 'def ask(...)'"),
+    ("def answer(X: str, *Y: str) -> int",
+     "forbidden construct: non-positional parameters (line 1, col 1)"),
+    ("answer(X: str, Y: str) -> int", "unparseable header: invalid syntax"),
+    ("class answer", "header must be a single function definition"),
+], ids=["dict-kind", "missing-kind", "str-return", "missing-return", "other-name",
+        "star-parameter", "no-def", "class"])
+def test_template_rejects_an_unparseable_header(header, message):
+    with pytest.raises(SchemaError) as excinfo:
+        _template(function_header=header)
+    assert str(excinfo.value) == f"{message} (at function_header)"
 
 
 def test_template_rejects_single_option():
@@ -183,6 +226,21 @@ def test_parse_cohort_missing_key_names_field():
         parse_cohort(record, line=7)
     assert "options" in str(excinfo.value)
     assert "line 7" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cohort_id", None),
+    ("cohort_id", 5),
+    ("masked_question", 5),
+    ("function_header", 5),
+    ("function_header", ["def answer(X: str, Y: str) -> int"]),
+])
+def test_parse_cohort_text_fields_must_be_strings(key, value):
+    record = _record()
+    record[key] = value
+    with pytest.raises(SchemaError) as excinfo:
+        parse_cohort(record, line=3)
+    assert str(excinfo.value) == f"line 3: {key} must be a string, not {value!r} (at {key})"
 
 
 def test_load_cohorts_reports_line_of_bad_json(tmp_path):

@@ -109,6 +109,17 @@ def test_run_cohort_signature_mismatch_raises():
         run_cohort(other, _cohort(), _retr())
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("header", ["def answer(Y: str) -> int", "def answer(X: int) -> int"])
+def test_run_cohorts_rejects_other_parameter_names_or_kinds(header, jobs):
+    other = parse_program(f"{header}:\n    return 0\n", header)
+    with pytest.raises(ValueError) as excinfo:
+        list(run_cohorts([(_cohort(), (LOOKUP, other))], _retr(), jobs=jobs))
+    assert str(excinfo.value) == (
+        f"program header {header!r} does not match template header {HEADER!r}"
+    )
+
+
 def test_run_cohort_parallel_matches_serial():
     serial = run_cohort(LOOKUP, _cohort(), _retr(missing=("Zeus",)))
     [(parallel,)] = run_cohorts([(_cohort(), [LOOKUP])], _retr(missing=("Zeus",)), jobs=4)

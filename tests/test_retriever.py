@@ -5,6 +5,7 @@ import string
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cohortqa.data_model import SchemaError
 from cohortqa.dsl import ValueKind
 from cohortqa.retriever import (
     COMPLEX,
@@ -183,6 +184,34 @@ def test_fact_table_from_jsonl(tmp_path):
     t = FactTable.from_jsonl(path)
     assert len(t) == 2
     assert t.lookup("is water wet").value is True
+
+
+_KILLING = "Is The Act of Killing a documentary film that involves Indonesia?"
+
+
+@pytest.mark.parametrize("repeat, error", [
+    ({"q": "is the act of killing a documentary film that involves indonesia", "kind": "bool",
+      "value": False},
+     "line 3: question 'is the act of killing a documentary film that involves indonesia' "
+     "repeats line 1 with a different kind or value"),
+    ({"q": _KILLING, "kind": "str", "value": "yes"},
+     f"line 3: question {_KILLING!r} repeats line 1 with a different kind or value"),
+    ({"q": "IS THE ACT OF KILLING A DOCUMENTARY FILM THAT INVOLVES INDONESIA", "kind": "bool",
+      "value": True}, None),
+], ids=["other-value", "other-kind", "identical"])
+def test_fact_table_refuses_a_repeat_that_conflicts(tmp_path, repeat, error):
+    path = tmp_path / "facts.jsonl"
+    lines = [{"q": _KILLING, "kind": "bool", "value": True},
+             {"q": "Is water wet?", "kind": "bool", "value": True}, repeat]
+    path.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
+    if error is None:  # an identical repeat is allowed
+        t = FactTable.from_jsonl(path)
+        assert len(t) == 2
+        assert t.lookup(_KILLING).value is True
+        return
+    with pytest.raises(SchemaError) as excinfo:
+        FactTable.from_jsonl(path)
+    assert str(excinfo.value) == f"{path}: {error}"
 
 
 def test_fact_table_rejects_wrongly_typed_value(tmp_path):
