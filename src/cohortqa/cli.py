@@ -146,7 +146,7 @@ def _cohorts_by_id(path: str) -> dict[str, CohortInstance]:
 # --- subcommands ---------------------------------------------------------
 
 def cmd_validate(args, parser) -> int:
-    cohorts = load_cohorts(args.cohorts)
+    cohorts = list(_cohorts_by_id(args.cohorts).values())
     if not cohorts:
         print("0 cohorts")
         return EXIT_OK
@@ -558,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="samples per cohort for self-consistency")
     p.add_argument("--output", help="write the JSON report here")
     p.add_argument(
-        "--jobs", type=int, default=8,
-        help="member executions in flight against a remote retriever; the mock runs serially",
+        "--jobs", type=int, default=32,
+        help="member executions in flight against a remote retriever, each thread on its own "
+             "connection, at most 4 of them being opened at once; the mock runs serially",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-timestamp", action="store_true")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 import re
 import time
@@ -127,11 +128,18 @@ class FactTable:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FactTable":
-        """Load a fact file; a question may repeat only with the same kind and value."""
+        """Load a fact file; a question may repeat only with the same kind and value.
+
+        A regular file is read once, and a second time only if a question
+        repeats. Anything else (a pipe, say) cannot be read twice, so its
+        repeats are checked line by line in its one read.
+        """
+        if not os.path.isfile(path):
+            return cls(_checked_facts(path))
         counted = itertools.count()  # zip advances it once per fact, with no Python loop
         table = cls(dict(map(itemgetter(0), zip(read_jsonl(path, _fact, _FACT_KEYS), counted))))
         if next(counted) > len(table):  # a question repeats: only then is the file read again
-            _check_repeats(path)
+            _checked_facts(path)
         return table
 
 
@@ -139,7 +147,9 @@ _KINDS = {kind.value: kind for kind in ValueKind}
 _FACT_KEYS = ("q", "kind", "value")
 
 
-def _check_repeats(path: str | Path) -> None:
+def _checked_facts(path: str | Path) -> dict[str, FactEntry]:
+    """The facts of a file, each question's first line kept; a repeat with
+    another kind or value is a SchemaError."""
     seen: dict[str, tuple[int, FactEntry]] = {}  # normalized question -> first line, entry
     for line, question, key, entry in read_jsonl(
             path, lambda record, line: (line, record["q"], *_fact(record, line)), _FACT_KEYS):
@@ -147,6 +157,7 @@ def _check_repeats(path: str | Path) -> None:
         if first != entry:
             raise SchemaError(f"question {question!r} repeats line {first_line} with a "
                               "different kind or value", line=line, path=path)
+    return {key: entry for key, (_, entry) in seen.items()}
 
 
 def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
@@ -370,11 +381,13 @@ class RemoteRetrieverConfig:
 class RemoteRetriever:
     """JSON-over-HTTP chat-completion client with retry/backoff.
 
-    Safe to share between threads. It bounds nothing itself: callers bound
-    concurrency (`run_cohorts` by its pool size), and each calling thread
-    keeps one kept-alive connection (`transport.HTTPSession`). `session`
-    replaces that client with any object whose `post(url, json=...,
-    timeout=...)` returns a response with `status_code` and `json()`.
+    Safe to share between threads. It does not bound requests in flight:
+    callers do (`run_cohorts` by its pool size). Each calling thread keeps
+    one kept-alive connection, and at most 4 are being opened at once
+    (`transport.HTTPSession`), so a pool of 32 does not overflow a server's
+    listen backlog. `session` replaces that client with any object whose
+    `post(url, json=..., timeout=...)` returns a response with `status_code`
+    and `json()`.
 
     A transport failure, a 429 or a 5xx reply is retried up to `max_retries`
     times. Before each retry it waits the reply's Retry-After seconds, or

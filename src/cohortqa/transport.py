@@ -1,8 +1,10 @@
 """JSON over HTTP/1.1 on the standard library, for the remote retriever.
 
 `HTTPSession.post` keeps the call shape of `requests.Session.post` for one
-endpoint. Each calling thread keeps one connection alive. The route is
-resolved once per session:
+endpoint. Each calling thread keeps one connection alive, and at most 4
+connections are being opened at once, so a pool of threads that starts
+together does not overflow a server's listen backlog. The route is resolved
+once per session:
 
 - the proxy the environment names (`http_proxy`, `https_proxy`, `all_proxy`,
   bypassed by `no_proxy`): plain HTTP goes to it in absolute form, HTTPS
@@ -31,6 +33,12 @@ from . import __version__
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 _encode = json.dumps  # `post` takes a parameter named json
+
+# how many of a session's connections may be between connect and their first
+# reply at once. Python's socketserver and http.server listen with a backlog
+# of 5: more connects at once overflow it, and the kernel drops them (a 1 s SYN
+# retransmit each) or resets them. Fixed, not a setting.
+_OPENING_PERMITS = 4
 
 
 class Response:
@@ -92,7 +100,11 @@ class HTTPSession:
     Before reusing a connection the session checks that the peer has not
     closed it and reconnects if it has, so a dropped idle connection costs no
     retry. A connection that fails mid-exchange is closed, and the thread's
-    next request opens a new one. `close` closes every connection opened.
+    next request opens a new one. A request on a new or reopened connection
+    first takes one of 4 permits, and gives it back once its reply is read or
+    the exchange fails. Requests on a kept-alive connection take none, so the
+    permits bound connects, not requests in flight. `close` closes every
+    connection opened.
     """
 
     def __init__(self, endpoint: str, timeout_s: float):
@@ -139,6 +151,7 @@ class HTTPSession:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._opened: list[http.client.HTTPConnection] = []
+        self._opening = threading.BoundedSemaphore(_OPENING_PERMITS)
 
     def _open(self) -> http.client.HTTPConnection:
         conn = self._connection_type(*self._address, **self._options)
@@ -160,6 +173,9 @@ class HTTPSession:
             conn = self._open()
         elif conn.sock is not None and _peer_closed(conn.sock):
             conn.close()  # request() reconnects
+        opening = conn.sock is None  # new, reopened, or closed after a failure
+        if opening:
+            self._opening.acquire()
         try:
             conn.request("POST", self._target, _encode(json).encode(), self._headers)
             reply = conn.getresponse()
@@ -167,6 +183,9 @@ class HTTPSession:
         except TRANSPORT_ERRORS:
             conn.close()
             raise
+        finally:
+            if opening:
+                self._opening.release()
 
     def close(self) -> None:
         with self._lock:

@@ -685,20 +685,42 @@ _LOADS_FACTS = {
 }
 
 
-@pytest.mark.parametrize("command", _LOADS_FACTS)
-def test_a_fact_that_repeats_with_another_value_fails_at_load(command, tmp_path, capsys):
+def _facts_with_conflicting_repeat() -> tuple[str, str]:
+    """The fixture facts plus a last line that repeats line 2's question with
+    another value, and the message naming it (after `<command>: <file>: `)."""
     facts = Path(f"{FIX}/facts.jsonl").read_text(encoding="utf-8").splitlines()
     question = json.loads(facts[1])["q"].lower().rstrip("?")
     repeat = json.dumps({"q": question, "kind": "bool", "value": False})
+    error = (f"line {len(facts) + 1}: question {question!r} "
+             "repeats line 2 with a different kind or value\n")
+    return "\n".join([*facts, repeat]) + "\n", error
+
+
+@pytest.mark.parametrize("command", _LOADS_FACTS)
+def test_a_fact_that_repeats_with_another_value_fails_at_load(command, tmp_path, capsys):
+    text, error = _facts_with_conflicting_repeat()
     path = tmp_path / "facts.jsonl"
-    path.write_text("\n".join([*facts, repeat]) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *_LOADS_FACTS[command](str(path)))
     assert code == 1
     assert out == ""
-    assert err == (
-        f"{command}: {path}: line {len(facts) + 1}: question {question!r} "
-        "repeats line 2 with a different kind or value\n"
-    )
+    assert err == f"{command}: {path}: {error}"
+
+
+@pytest.mark.parametrize("command", _LOADS_FACTS)
+def test_a_conflicting_fact_repeat_in_a_pipe_fails_at_load(command, capsys):
+    # `--facts <(cat facts.jsonl)`: the pipe cannot be read a second time
+    text, error = _facts_with_conflicting_repeat()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        code, out, err = run(capsys, *_LOADS_FACTS[command](path))
+    finally:
+        os.close(read_end)
+    assert (code, out) == (1, "")
+    assert err == f"{command}: {path}: {error}"
 
 
 def _xy_cohort(cohort_id: str) -> dict:
@@ -780,20 +802,21 @@ def test_eval_refuses_a_batch_before_any_report(refused_batch, tmp_path, capsys)
     assert not report.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "check", "exec"])
+@pytest.mark.parametrize("command", ["eval", "check", "exec", "validate"])
 def test_a_repeated_cohort_id_names_the_id_and_the_file(command, tmp_path, capsys):
     cohort = json.loads(_first_line(f"{FIX}/cohorts.jsonl"))
     cohorts = tmp_path / "cohorts.jsonl"
     cohorts.write_text(json.dumps(cohort) + "\n" + json.dumps(dict(cohort, domain="other")) + "\n",
                        encoding="utf-8")
-    inputs = {
-        "eval": ["--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+    args = {
+        "eval": ["--cohorts", str(cohorts), "--programs", f"{FIX}/programs/conjunction_batch.jsonl",
                  "--facts", f"{FIX}/facts.jsonl"],
-        "check": ["--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
-        "exec": ["--program", f"{FIX}/programs/conjunction.py", "--cohort-id", cohort["cohort_id"],
-                 "--facts", f"{FIX}/facts.jsonl"],
+        "check": ["--cohorts", str(cohorts), "--programs", f"{FIX}/programs/conjunction_batch.jsonl"],
+        "exec": ["--cohorts", str(cohorts), "--program", f"{FIX}/programs/conjunction.py",
+                 "--cohort-id", cohort["cohort_id"], "--facts", f"{FIX}/facts.jsonl"],
+        "validate": [str(cohorts)],
     }[command]
-    code, out, err = run(capsys, command, "--cohorts", str(cohorts), *inputs)
+    code, out, err = run(capsys, command, *args)
     assert (code, out) == (1, "")
     assert err == f"{command}: {cohorts}: cohort_id {cohort['cohort_id']!r} repeats\n"
 

@@ -84,9 +84,8 @@ def backend(monkeypatch):
     stub.close()
 
 
-@pytest.fixture
-def batch(tmp_path):
-    """Ten copies of the fixture cohort, each with a conjunction and a shortcut sample."""
+def _write_batch(tmp_path, copies):
+    """`copies` copies of the fixture cohort, each with a conjunction and a shortcut sample."""
     cohort = json.loads(Path(f"{FIX}/cohorts.jsonl").read_text(encoding="utf-8"))
     samples = [
         json.loads(Path(f"{FIX}/programs/{name}_batch.jsonl").read_text(encoding="utf-8"))["source"]
@@ -94,13 +93,18 @@ def batch(tmp_path):
     ]
     cohorts, programs = tmp_path / "cohorts.jsonl", tmp_path / "programs.jsonl"
     with open(cohorts, "w") as c_out, open(programs, "w") as p_out:
-        for i in range(10):
+        for i in range(copies):
             cohort_id = f"film-{i:02d}"
             print(json.dumps(dict(cohort, cohort_id=cohort_id)), file=c_out)
             for index, source in enumerate(samples):
                 record = {"cohort_id": cohort_id, "sample_index": index, "source": source}
                 print(json.dumps(record), file=p_out)
     return cohorts, programs
+
+
+@pytest.fixture
+def batch(tmp_path):
+    return _write_batch(tmp_path, 10)
 
 
 def test_eval_remote_pool_matches_serial(backend, batch, tmp_path, capsys):
@@ -129,6 +133,30 @@ def test_eval_remote_pool_matches_serial(backend, batch, tmp_path, capsys):
     rows = json.loads(runs[8][1])["cohorts"]
     assert rows == json.loads(mock_report.read_text())["cohorts"]
     assert all(row["backend_errors"] == 0 for row in rows)
+
+
+def test_eval_remote_default_jobs_reaches_past_the_old_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    cohorts, programs = _write_batch(tmp_path, 20)  # 240 lookups: enough to fill the pool
+    backend = StubBackend(latency_s=0.005)
+    runs = {}
+    try:
+        for name, jobs in (("serial", ["--jobs", "1"]), ("default", [])):
+            backend.reset()
+            report = tmp_path / f"report-{name}.json"
+            assert main([
+                "eval", "--cohorts", str(cohorts), "--programs", str(programs), "--k", "2",
+                "--retriever", "remote", "--endpoint", backend.endpoint,
+                *jobs, "--no-timestamp", "--output", str(report),
+            ]) == 0
+            runs[name] = capsys.readouterr().out, report.read_bytes(), backend.max_in_flight
+            assert backend.requests == 20 * 6 * 2
+    finally:
+        backend.close()
+    serial, default = runs["serial"], runs["default"]
+    assert default[:2] == serial[:2]
+    assert serial[2] == 1
+    assert 8 < default[2] <= 32
 
 
 def test_eval_unreachable_backend_exits_3(tmp_path, capsys, monkeypatch):

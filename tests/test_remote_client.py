@@ -5,10 +5,13 @@ import base64
 import json
 import os
 import random
+import socket
+import struct
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from cohortqa.retriever import (
     RemoteRetrieverConfig,
     RetrieveRequest,
 )
+from cohortqa.transport import TRANSPORT_ERRORS, HTTPSession
 
 _TRUE = '```json\n{"answer": true}\n```'
 _PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD")
@@ -32,14 +36,21 @@ _PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_ME
 
 class Stub:
     """HTTP/1.1 keep-alive server that answers each request from a script of
-    (status, headers) replies, then with 200, and records what arrived."""
+    (status, headers) replies, then with 200, after `latency_s`, and records
+    what arrived. It resets its first `resets` connections on accept, and
+    counts requests in flight and accepted connections whose first request
+    is not answered yet."""
 
-    def __init__(self, replies=(), close_after_reply=False):
+    def __init__(self, replies=(), close_after_reply=False, latency_s=0.0, resets=0):
         self.replies = list(replies)
         self.close_after_reply = close_after_reply
+        self.latency_s = latency_s
+        self.resets = resets
         self.seen = []  # (method, request target, headers)
         self.opened = 0
         self.closed = 0
+        self.unanswered = self.max_unanswered = 0
+        self.in_flight = self.max_in_flight = 0
         self.changed = threading.Condition()
         stub = self
 
@@ -63,8 +74,16 @@ class Stub:
                 with stub.changed:
                     stub.seen.append(("POST", self.path, self.headers))
                     status, headers = stub.replies.pop(0) if stub.replies else (200, {})
+                    stub.in_flight += 1
+                    stub.max_in_flight = max(stub.max_in_flight, stub.in_flight)
+                time.sleep(stub.latency_s)
                 content = {"choices": [{"message": {"content": _TRUE}}]}
                 self._reply(status, headers, json.dumps(content).encode())
+                with stub.changed:
+                    stub.in_flight -= 1
+                    if not getattr(self, "answered", False):
+                        self.answered = True  # one handler serves one connection
+                        stub.unanswered -= 1
                 # closing without "Connection: close" drops a connection the
                 # client still holds as kept alive
                 self.close_connection = stub.close_after_reply
@@ -80,7 +99,17 @@ class Stub:
 
             def process_request(self, request, client_address):
                 with stub.changed:
-                    stub.opened += 1
+                    reset = stub.resets > 0
+                    if reset:
+                        stub.resets -= 1
+                    else:
+                        stub.opened += 1
+                        stub.unanswered += 1
+                        stub.max_unanswered = max(stub.max_unanswered, stub.unanswered)
+                if reset:  # a zero linger time closes with RST
+                    request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    request.close()
+                    return
                 super().process_request(request, client_address)
 
             def shutdown_request(self, request):
@@ -191,6 +220,69 @@ def test_close_closes_every_thread_connection(stubs, retrievers):
     assert stub.closed == 0
     retriever.close()
     stub.wait_closed(3)
+
+
+def _session_threads(session, endpoint, count, lookups):
+    """Run `lookups(post)` on `count` daemon threads, which must all end
+    within 20 s: a thread stuck waiting for a permit fails the test and
+    does not hold up the exit."""
+    def post():
+        return session.post(endpoint, json={"model": "m"}, timeout=10)
+
+    threads = [threading.Thread(target=lookups, args=(post,), daemon=True) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 20
+    for thread in threads:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), "a session thread hung"
+
+
+def test_at_most_four_connections_are_opened_at_once(stubs):
+    stub = stubs(latency_s=0.02)
+    session = HTTPSession(stub.endpoint, timeout_s=10)
+    barrier = threading.Barrier(32, timeout=10)
+    statuses = []
+
+    def lookups(post):
+        statuses.append(post().status_code)  # opens this thread's connection
+        barrier.wait()  # every connection is open: the rest are kept-alive requests
+        statuses.extend(post().status_code for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often: a lost permit update would show
+    try:
+        _session_threads(session, stub.endpoint, 32, lookups)
+    finally:
+        sys.setswitchinterval(interval)
+        session.close()
+    assert statuses == [200] * 128
+    assert stub.opened == 32
+    assert 1 <= stub.max_unanswered <= 4
+    assert stub.max_in_flight > 4  # the permits do not cap kept-alive requests
+
+
+def test_a_failed_first_exchange_gives_its_permit_back(stubs):
+    stub = stubs(latency_s=0.005, resets=12)  # three times the permits
+    session = HTTPSession(stub.endpoint, timeout_s=10)
+    failures, statuses = [], []
+
+    def lookups(post):
+        for _ in range(2):
+            for _ in range(20):
+                try:
+                    statuses.append(post().status_code)
+                    break
+                except TRANSPORT_ERRORS as exc:
+                    failures.append(exc)
+
+    try:
+        _session_threads(session, stub.endpoint, 8, lookups)
+    finally:
+        session.close()
+    assert statuses == [200] * 16
+    assert len(failures) == 12 and stub.resets == 0
+    assert stub.max_unanswered <= 4
 
 
 # --- proxies and credentials ----------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import string
 
@@ -189,7 +190,7 @@ def test_fact_table_from_jsonl(tmp_path):
 _KILLING = "Is The Act of Killing a documentary film that involves Indonesia?"
 
 
-@pytest.mark.parametrize("repeat, error", [
+_REPEATS = pytest.mark.parametrize("repeat, error", [
     ({"q": "is the act of killing a documentary film that involves indonesia", "kind": "bool",
       "value": False},
      "line 3: question 'is the act of killing a documentary film that involves indonesia' "
@@ -199,11 +200,15 @@ _KILLING = "Is The Act of Killing a documentary film that involves Indonesia?"
     ({"q": "IS THE ACT OF KILLING A DOCUMENTARY FILM THAT INVOLVES INDONESIA", "kind": "bool",
       "value": True}, None),
 ], ids=["other-value", "other-kind", "identical"])
-def test_fact_table_refuses_a_repeat_that_conflicts(tmp_path, repeat, error):
-    path = tmp_path / "facts.jsonl"
+
+
+def _facts_with_repeat(repeat) -> str:
     lines = [{"q": _KILLING, "kind": "bool", "value": True},
              {"q": "Is water wet?", "kind": "bool", "value": True}, repeat]
-    path.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
+    return "\n".join(json.dumps(l) for l in lines) + "\n"
+
+
+def _check_repeat(path, error):
     if error is None:  # an identical repeat is allowed
         t = FactTable.from_jsonl(path)
         assert len(t) == 2
@@ -212,6 +217,25 @@ def test_fact_table_refuses_a_repeat_that_conflicts(tmp_path, repeat, error):
     with pytest.raises(SchemaError) as excinfo:
         FactTable.from_jsonl(path)
     assert str(excinfo.value) == f"{path}: {error}"
+
+
+@_REPEATS
+def test_fact_table_refuses_a_repeat_that_conflicts(tmp_path, repeat, error):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(_facts_with_repeat(repeat), encoding="utf-8")
+    _check_repeat(path, error)
+
+
+@_REPEATS
+def test_fact_table_checks_repeats_in_a_pipe(repeat, error):
+    # what `--facts <(cat facts.jsonl)` hands over: a pipe that reads empty a second time
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, _facts_with_repeat(repeat).encode())
+        os.close(write_end)
+        _check_repeat(f"/dev/fd/{read_end}", error)
+    finally:
+        os.close(read_end)
 
 
 def test_fact_table_rejects_wrongly_typed_value(tmp_path):
