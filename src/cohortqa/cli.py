@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=32,
         help="member executions in flight against a remote retriever, each thread on its own "
-             "connection, at most 4 of them being opened at once; the mock runs serially",
+             "connection, at most 8 of them being opened at once; the mock runs serially",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-timestamp", action="store_true")

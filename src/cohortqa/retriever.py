@@ -148,16 +148,18 @@ _FACT_KEYS = ("q", "kind", "value")
 
 
 def _checked_facts(path: str | Path) -> dict[str, FactEntry]:
-    """The facts of a file, each question's first line kept; a repeat with
-    another kind or value is a SchemaError."""
+    """The facts of a file, each question's last line kept, as `dict` keeps
+    it; a repeat with another kind or value is a SchemaError."""
     seen: dict[str, tuple[int, FactEntry]] = {}  # normalized question -> first line, entry
+    table: dict[str, FactEntry] = {}
     for line, question, key, entry in read_jsonl(
             path, lambda record, line: (line, record["q"], *_fact(record, line)), _FACT_KEYS):
         first_line, first = seen.setdefault(key, (line, entry))
         if first != entry:
             raise SchemaError(f"question {question!r} repeats line {first_line} with a "
                               "different kind or value", line=line, path=path)
-    return {key: entry for key, (_, entry) in seen.items()}
+        table[key] = entry
+    return table
 
 
 def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
@@ -383,7 +385,7 @@ class RemoteRetriever:
 
     Safe to share between threads. It does not bound requests in flight:
     callers do (`run_cohorts` by its pool size). Each calling thread keeps
-    one kept-alive connection, and at most 4 are being opened at once
+    one kept-alive connection, and at most 8 are being opened at once
     (`transport.HTTPSession`), so a pool of 32 does not overflow a server's
     listen backlog. `session` replaces that client with any object whose
     `post(url, json=..., timeout=...)` returns a response with `status_code`

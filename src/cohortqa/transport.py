@@ -1,7 +1,7 @@
 """JSON over HTTP/1.1 on the standard library, for the remote retriever.
 
 `HTTPSession.post` keeps the call shape of `requests.Session.post` for one
-endpoint. Each calling thread keeps one connection alive, and at most 4
+endpoint. Each calling thread keeps one connection alive, and at most 8
 connections are being opened at once, so a pool of threads that starts
 together does not overflow a server's listen backlog. The route is resolved
 once per session:
@@ -36,9 +36,12 @@ _encode = json.dumps  # `post` takes a parameter named json
 
 # how many of a session's connections may be between connect and their first
 # reply at once. Python's socketserver and http.server listen with a backlog
-# of 5: more connects at once overflow it, and the kernel drops them (a 1 s SYN
-# retransmit each) or resets them. Fixed, not a setting.
-_OPENING_PERMITS = 4
+# of 5, and a pool of 32 that connects at once overflows it: the kernel drops
+# connects (a 1 s SYN retransmit each) or resets them. 8 is the pool size eval
+# used before its default grew to 32, so no pool opens more connections at
+# once than that one did, and a server that closes after every reply still
+# gets 8 requests at once. Fixed, not a setting.
+_OPENING_PERMITS = 8
 
 
 class Response:
@@ -101,10 +104,11 @@ class HTTPSession:
     closed it and reconnects if it has, so a dropped idle connection costs no
     retry. A connection that fails mid-exchange is closed, and the thread's
     next request opens a new one. A request on a new or reopened connection
-    first takes one of 4 permits, and gives it back once its reply is read or
-    the exchange fails. Requests on a kept-alive connection take none, so the
-    permits bound connects, not requests in flight. `close` closes every
-    connection opened.
+    first takes one of 8 permits, and gives it back once its reply is read or
+    the exchange fails: only a reply shows that the server has taken the
+    connection off its listen backlog. Requests on a kept-alive connection
+    take none, so the permits bound connects, not requests in flight.
+    `close` closes every connection opened.
     """
 
     def __init__(self, endpoint: str, timeout_s: float):

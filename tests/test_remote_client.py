@@ -77,13 +77,15 @@ class Stub:
                     stub.in_flight += 1
                     stub.max_in_flight = max(stub.max_in_flight, stub.in_flight)
                 time.sleep(stub.latency_s)
-                content = {"choices": [{"message": {"content": _TRUE}}]}
-                self._reply(status, headers, json.dumps(content).encode())
+                # counted as answered before the reply goes out: once the
+                # client has read it, it may open its next connection at once
                 with stub.changed:
                     stub.in_flight -= 1
                     if not getattr(self, "answered", False):
                         self.answered = True  # one handler serves one connection
                         stub.unanswered -= 1
+                content = {"choices": [{"message": {"content": _TRUE}}]}
+                self._reply(status, headers, json.dumps(content).encode())
                 # closing without "Connection: close" drops a connection the
                 # client still holds as kept alive
                 self.close_connection = stub.close_after_reply
@@ -238,7 +240,7 @@ def _session_threads(session, endpoint, count, lookups):
         assert not thread.is_alive(), "a session thread hung"
 
 
-def test_at_most_four_connections_are_opened_at_once(stubs):
+def test_at_most_eight_connections_are_opened_at_once(stubs):
     stub = stubs(latency_s=0.02)
     session = HTTPSession(stub.endpoint, timeout_s=10)
     barrier = threading.Barrier(32, timeout=10)
@@ -258,31 +260,52 @@ def test_at_most_four_connections_are_opened_at_once(stubs):
         session.close()
     assert statuses == [200] * 128
     assert stub.opened == 32
-    assert 1 <= stub.max_unanswered <= 4
-    assert stub.max_in_flight > 4  # the permits do not cap kept-alive requests
+    assert 1 <= stub.max_unanswered <= 8
+    assert stub.max_in_flight > 8  # the permits do not cap kept-alive requests
+
+
+def _posts_until_answered(count):
+    """`lookups` for `_session_threads`: `count` answered posts, each retried
+    on a transport error as `RemoteRetriever` would."""
+    def lookups(post):
+        for _ in range(count):
+            for _ in range(20):
+                try:
+                    lookups.statuses.append(post().status_code)
+                    break
+                except TRANSPORT_ERRORS as exc:
+                    lookups.failures.append(exc)
+
+    lookups.statuses, lookups.failures = [], []
+    return lookups
+
+
+def test_a_server_that_closes_after_each_reply_still_gets_eight_requests_at_once(stubs):
+    # every request opens a connection and so takes a permit: the 8 permits
+    # then bound requests in flight, at the pool size eval ran before 32
+    stub = stubs(close_after_reply=True, latency_s=0.1)
+    session = HTTPSession(stub.endpoint, timeout_s=10)
+    lookups = _posts_until_answered(2)
+    try:
+        _session_threads(session, stub.endpoint, 32, lookups)
+    finally:
+        session.close()
+    assert lookups.statuses == [200] * 64
+    assert stub.max_unanswered <= 8
+    assert stub.max_in_flight == 8
 
 
 def test_a_failed_first_exchange_gives_its_permit_back(stubs):
-    stub = stubs(latency_s=0.005, resets=12)  # three times the permits
+    stub = stubs(latency_s=0.005, resets=24)  # three times the permits
     session = HTTPSession(stub.endpoint, timeout_s=10)
-    failures, statuses = [], []
-
-    def lookups(post):
-        for _ in range(2):
-            for _ in range(20):
-                try:
-                    statuses.append(post().status_code)
-                    break
-                except TRANSPORT_ERRORS as exc:
-                    failures.append(exc)
-
+    lookups = _posts_until_answered(2)
     try:
-        _session_threads(session, stub.endpoint, 8, lookups)
+        _session_threads(session, stub.endpoint, 16, lookups)
     finally:
         session.close()
-    assert statuses == [200] * 16
-    assert len(failures) == 12 and stub.resets == 0
-    assert stub.max_unanswered <= 4
+    assert lookups.statuses == [200] * 32
+    assert len(lookups.failures) == 24 and stub.resets == 0
+    assert stub.max_unanswered <= 8
 
 
 # --- proxies and credentials ----------------------------------------------

@@ -190,29 +190,36 @@ def test_fact_table_from_jsonl(tmp_path):
 _KILLING = "Is The Act of Killing a documentary film that involves Indonesia?"
 
 
-_REPEATS = pytest.mark.parametrize("repeat, error", [
-    ({"q": "is the act of killing a documentary film that involves indonesia", "kind": "bool",
+_KILLING_FACT = {"q": _KILLING, "kind": "bool", "value": True}
+_HEIGHT = "How tall is the tower in metres?"
+_REPEATS = pytest.mark.parametrize("first, repeat, error", [
+    (_KILLING_FACT,
+     {"q": "is the act of killing a documentary film that involves indonesia", "kind": "bool",
       "value": False},
      "line 3: question 'is the act of killing a documentary film that involves indonesia' "
      "repeats line 1 with a different kind or value"),
-    ({"q": _KILLING, "kind": "str", "value": "yes"},
+    (_KILLING_FACT, {"q": _KILLING, "kind": "str", "value": "yes"},
      f"line 3: question {_KILLING!r} repeats line 1 with a different kind or value"),
-    ({"q": "IS THE ACT OF KILLING A DOCUMENTARY FILM THAT INVOLVES INDONESIA", "kind": "bool",
+    (_KILLING_FACT,
+     {"q": "IS THE ACT OF KILLING A DOCUMENTARY FILM THAT INVOLVES INDONESIA", "kind": "bool",
       "value": True}, None),
-], ids=["other-value", "other-kind", "identical"])
+    # equal, so allowed; the table holds the last line's value, 1.0 and not 1
+    ({"q": _HEIGHT, "kind": "float", "value": 1}, {"q": _HEIGHT, "kind": "float", "value": 1.0},
+     None),
+], ids=["other-value", "other-kind", "identical", "identical-number"])
 
 
-def _facts_with_repeat(repeat) -> str:
-    lines = [{"q": _KILLING, "kind": "bool", "value": True},
-             {"q": "Is water wet?", "kind": "bool", "value": True}, repeat]
+def _facts_with_repeat(first, repeat) -> str:
+    lines = [first, {"q": "Is water wet?", "kind": "bool", "value": True}, repeat]
     return "\n".join(json.dumps(l) for l in lines) + "\n"
 
 
-def _check_repeat(path, error):
+def _check_repeat(path, first, repeat, error):
     if error is None:  # an identical repeat is allowed
         t = FactTable.from_jsonl(path)
         assert len(t) == 2
-        assert t.lookup(_KILLING).value is True
+        value = t.lookup(first["q"]).value
+        assert value == repeat["value"] and type(value) is type(repeat["value"])
         return
     with pytest.raises(SchemaError) as excinfo:
         FactTable.from_jsonl(path)
@@ -220,20 +227,20 @@ def _check_repeat(path, error):
 
 
 @_REPEATS
-def test_fact_table_refuses_a_repeat_that_conflicts(tmp_path, repeat, error):
+def test_fact_table_refuses_a_repeat_that_conflicts(tmp_path, first, repeat, error):
     path = tmp_path / "facts.jsonl"
-    path.write_text(_facts_with_repeat(repeat), encoding="utf-8")
-    _check_repeat(path, error)
+    path.write_text(_facts_with_repeat(first, repeat), encoding="utf-8")
+    _check_repeat(path, first, repeat, error)
 
 
 @_REPEATS
-def test_fact_table_checks_repeats_in_a_pipe(repeat, error):
+def test_fact_table_checks_repeats_in_a_pipe(first, repeat, error):
     # what `--facts <(cat facts.jsonl)` hands over: a pipe that reads empty a second time
     read_end, write_end = os.pipe()
     try:
-        os.write(write_end, _facts_with_repeat(repeat).encode())
+        os.write(write_end, _facts_with_repeat(first, repeat).encode())
         os.close(write_end)
-        _check_repeat(f"/dev/fd/{read_end}", error)
+        _check_repeat(f"/dev/fd/{read_end}", first, repeat, error)
     finally:
         os.close(read_end)
 
