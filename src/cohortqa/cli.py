@@ -11,7 +11,9 @@ import sys
 import time
 from collections import defaultdict
 from contextlib import closing
+from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import urlsplit
 
 from . import __version__
@@ -111,17 +113,40 @@ def _retriever_config_json(args) -> dict:
     return config
 
 
-_BATCH_KEYS = ("cohort_id", "sample_index", "source")
+_NUMBER = (int, float)
+_NOUNS = {int: "an integer", str: "a string", _NUMBER: "a number"}
 
 
-def _batch_record(record: dict, line: int) -> dict:
-    """One program-batch line, its three keys checked for type."""
-    for key, kind, noun in (("cohort_id", str, "a string"), ("sample_index", int, "an integer"),
-                            ("source", str, "a string")):
-        value = record[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise SchemaError(f"{key} must be {noun}, not {value!r}", key)
+def _typed(value, kind, where: str, field_path: str = "") -> None:
+    """Raise a SchemaError unless `value` is a `kind`; a bool is no number."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"{where} must be {_NOUNS[kind]}, not {value!r}", field_path)
+
+
+def _typed_keys(record: dict, types: dict) -> dict:
+    """`record`, each key of `types` checked to hold a value of that type."""
+    for key, kind in types.items():
+        _typed(record[key], kind, key, key)
     return record
+
+
+_BATCH_TYPES = {"cohort_id": str, "sample_index": int, "source": str}
+_OUTCOME_TYPES = {"n_correct": int, "n_calls": int, "n_rejected": int}
+
+
+def _read_batch(path: str) -> Iterator[dict]:
+    """The records of a program batch, each line's keys checked for type; a
+    repeated (cohort_id, sample_index) is a SchemaError."""
+    first_lines: dict[tuple[str, int], int] = {}
+
+    def record(obj: dict, line: int) -> dict:
+        tag = (_typed_keys(obj, _BATCH_TYPES)["cohort_id"], obj["sample_index"])
+        first = first_lines.setdefault(tag, line)
+        if first != line:
+            raise SchemaError(f"sample {tag[0]}#{tag[1]} repeats line {first}")
+        return obj
+
+    return read_jsonl(path, record, tuple(_BATCH_TYPES))
 
 
 def _read_json_object(path: str) -> dict:
@@ -152,13 +177,12 @@ def cmd_validate(args, parser) -> int:
         return EXIT_OK
     failures = 0
     for cohort in cohorts:
-        report = validate_cohort(cohort)
-        status = "ok" if report.ok else "FAIL"
-        print(f"{cohort.cohort_id}: {status}")
-        if not report.ok:
+        matches = validate_cohort(cohort)
+        print(f"{cohort.cohort_id}: {'ok' if all(matches) else 'FAIL'}")
+        if not all(matches):
             failures += 1
-            for i, member in enumerate(report.members):
-                if not member.ok:
+            for i, match in enumerate(matches):
+                if not match:
                     label = "original" if i == 0 else f"variant {i - 1}"
                     print(f"  {label}: template-match")
     print(f"{len(cohorts)} cohorts, {failures} failing")
@@ -168,7 +192,7 @@ def cmd_validate(args, parser) -> int:
 def cmd_check(args, parser) -> int:
     cohorts = _cohorts_by_id(args.cohorts)
     any_fail = False
-    for record in read_jsonl(args.programs, _batch_record, _BATCH_KEYS):
+    for record in _read_batch(args.programs):
         tag = f"{record['cohort_id']}#{record['sample_index']}"
         cohort = cohorts.get(record["cohort_id"])
         if cohort is None:
@@ -233,7 +257,7 @@ def cmd_eval(args, parser) -> int:
     limits = _make_limits(args, parser)
     cohorts = _cohorts_by_id(args.cohorts)
     by_cohort: dict[str, list[dict]] = defaultdict(list)
-    for record in read_jsonl(args.programs, _batch_record, _BATCH_KEYS):
+    for record in _read_batch(args.programs):
         by_cohort[record["cohort_id"]].append(record)
     retriever = _make_retriever(args, parser)
     # the mock is GIL-bound: threads would only add overhead
@@ -292,11 +316,7 @@ def cmd_eval(args, parser) -> int:
             **_retriever_config_json(args),
             "criterion": args.criterion,
             "k": args.k,
-            "limits": {
-                "max_retrieve_calls": limits.max_retrieve_calls,
-                "max_steps": limits.max_steps,
-                "max_list_len": limits.max_list_len,
-            },
+            "limits": asdict(limits),
         },
         cohorts=rows,
         accuracy=accuracy,
@@ -335,6 +355,7 @@ def _rejection_table(rejection: dict) -> str:
 
 
 def _reward_record(obj: dict, line: int) -> dict:
+    _typed_keys(obj, _OUTCOME_TYPES)
     summary = CohortExecutionSummary(obj["n_correct"], obj["n_calls"], obj["n_rejected"])
     breakdown = cohort_reward(summary, variant=obj.get("variant", "normal"))
     return {
@@ -343,13 +364,13 @@ def _reward_record(obj: dict, line: int) -> dict:
         "n_correct": summary.n_correct,
         "n_calls": summary.n_calls,
         "n_rejected": summary.n_rejected,
-        **breakdown.to_json(),
+        **breakdown._asdict(),
     }
 
 
 def cmd_reward(args, parser) -> int:
     lines = (_dump(record) + "\n" for record in read_jsonl(
-        args.outcomes, _reward_record, ("n_correct", "n_calls", "n_rejected")))
+        args.outcomes, _reward_record, tuple(_OUTCOME_TYPES)))
     if not args.output:
         sys.stdout.writelines(lines)
         return EXIT_OK
@@ -476,7 +497,6 @@ def cmd_stats(args, parser) -> int:
 
 
 # what `report` reads of a report; "*" stands for every key of an object
-_NUMBER = (int, float)
 _ACCURACY_STATS = {"pass_rate": _NUMBER, "ci_halfwidth": _NUMBER, "n": int}
 _REPORT_SHAPES = {
     "accuracy": {"per_domain": {"*": _ACCURACY_STATS}, "overall": _ACCURACY_STATS},
@@ -497,9 +517,8 @@ def _check_shape(value, shape, where: str) -> None:
                 raise SchemaError(f"{where} has no key {key!r}")
             else:
                 _check_shape(value[key], inner, f"{where}.{key}")
-    elif not isinstance(value, shape) or isinstance(value, bool):
-        noun = {int: "an integer", str: "a string"}.get(shape, "a number")
-        raise SchemaError(f"{where} must be {noun}, not {value!r}")
+    else:
+        _typed(value, shape, where)
 
 
 def cmd_report(args, parser) -> int:

@@ -160,25 +160,6 @@ class CohortInstance:
         return (self.original,) + self.variants
 
 
-@dataclass
-class MemberReport:
-    template_match: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.template_match
-
-
-@dataclass
-class ValidationReport:
-    cohort_id: str
-    members: list[MemberReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(m.ok for m in self.members)
-
-
 def _check_binding_keys(template: AbstractionTemplate, bindings: Mapping[str, str],
                         field_path: str) -> None:
     if set(bindings) != set(template.parameter_names):
@@ -199,99 +180,90 @@ def normalize_question(text: str) -> str:
     return " ".join(text.split()).rstrip(_TRAILING)
 
 
-def validate_cohort(cohort: CohortInstance) -> ValidationReport:
-    """Check template-match for every member; load checks binding keys and gold range."""
-    report = ValidationReport(cohort_id=cohort.cohort_id)
-    for member in cohort.members:
-        expected = instantiate_template(cohort.template, member.bindings)
-        template_match = normalize_question(expected) == normalize_question(member.question_text)
-        report.members.append(MemberReport(template_match))
-    return report
+def validate_cohort(cohort: CohortInstance) -> list[bool]:
+    """Whether each member's question matches the template, original first;
+    load checks binding keys and gold range."""
+    return [
+        normalize_question(instantiate_template(cohort.template, member.bindings))
+        == normalize_question(member.question_text)
+        for member in cohort.members
+    ]
 
 
-def _gold_to_index(gold, options: tuple[str, ...], field_path: str, line: int) -> int:
+def _gold_to_index(gold, options: tuple[str, ...], field_path: str) -> int:
     """Accept either an option index or an answer letter ('A', 'B', ...)."""
     if isinstance(gold, bool):
-        raise SchemaError("gold must be an index or letter, not a bool", field_path, line)
+        raise SchemaError("gold must be an index or letter, not a bool", field_path)
     if isinstance(gold, int):
         index = gold
     elif isinstance(gold, str) and len(gold) == 1 and gold.upper() in string.ascii_uppercase:
         index = string.ascii_uppercase.index(gold.upper())
     else:
-        raise SchemaError(f"unrecognized gold answer {gold!r}", field_path, line)
+        raise SchemaError(f"unrecognized gold answer {gold!r}", field_path)
     if not 0 <= index < len(options):
-        raise SchemaError(f"gold index {index} out of range for {len(options)} options",
-                          field_path, line)
+        raise SchemaError(f"gold index {index} out of range for {len(options)} options", field_path)
     return index
 
 
-def _parse_member(obj: dict, options: tuple[str, ...], field_path: str, line: int) -> QuestionVariant:
+def _parse_member(obj: dict, options: tuple[str, ...], field_path: str) -> QuestionVariant:
     if not isinstance(obj, dict):
-        raise SchemaError("member must be an object", field_path, line)
+        raise SchemaError("member must be an object", field_path)
     for key in ("bindings", "question", "gold"):
         if key not in obj:
-            raise SchemaError(f"missing key {key!r}", f"{field_path}.{key}", line)
+            raise SchemaError(f"missing key {key!r}", f"{field_path}.{key}")
     bindings = obj["bindings"]
     if not isinstance(bindings, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in bindings.items()
     ):
-        raise SchemaError("bindings must map strings to strings", f"{field_path}.bindings", line)
+        raise SchemaError("bindings must map strings to strings", f"{field_path}.bindings")
     if not isinstance(obj["question"], str):
-        raise SchemaError("question must be a string", f"{field_path}.question", line)
-    gold = _gold_to_index(obj["gold"], options, f"{field_path}.gold", line)
+        raise SchemaError("question must be a string", f"{field_path}.question")
+    gold = _gold_to_index(obj["gold"], options, f"{field_path}.gold")
     return QuestionVariant(bindings=dict(bindings), question_text=obj["question"], gold_index=gold)
 
 
-def parse_cohort(obj: dict, line: int | None = None) -> CohortInstance:
+def parse_cohort(obj: dict) -> CohortInstance:
     """Build one CohortInstance from a decoded JSONL record."""
     required = ("cohort_id", "domain", "masked_question", "parameters", "options",
                 "function_header", "original", "variants")
     for key in required:
         if key not in obj:
-            raise SchemaError(f"missing key {key!r}", key, line)
+            raise SchemaError(f"missing key {key!r}", key)
     for key in ("cohort_id", "masked_question", "function_header"):
         if not isinstance(obj[key], str):
-            raise SchemaError(f"{key} must be a string, not {obj[key]!r}", key, line)
+            raise SchemaError(f"{key} must be a string, not {obj[key]!r}", key)
     options = obj["options"]
     if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
-        raise SchemaError("options must be a list of strings", "options", line)
+        raise SchemaError("options must be a list of strings", "options")
     parameters = obj["parameters"]
     if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
-        raise SchemaError("parameters must be a list of strings", "parameters", line)
+        raise SchemaError("parameters must be a list of strings", "parameters")
     domain = obj["domain"]
     if domain not in KNOWN_DOMAINS:
-        raise SchemaError(f"unknown domain {domain!r}, expected one of {KNOWN_DOMAINS}", "domain", line)
-    try:
-        template = AbstractionTemplate(
-            template_id=obj["cohort_id"],
-            masked_question=obj["masked_question"],
-            parameter_names=tuple(parameters),
-            options=tuple(options),
-            function_header=obj["function_header"],
-            domain_tag=domain,
-        )
-    except SchemaError as exc:
-        raise SchemaError(exc.message, exc.field_path, line) from exc
-    original = _parse_member(obj["original"], template.options, "original", line)
+        raise SchemaError(f"unknown domain {domain!r}, expected one of {KNOWN_DOMAINS}", "domain")
+    template = AbstractionTemplate(
+        template_id=obj["cohort_id"],
+        masked_question=obj["masked_question"],
+        parameter_names=tuple(parameters),
+        options=tuple(options),
+        function_header=obj["function_header"],
+        domain_tag=domain,
+    )
+    original = _parse_member(obj["original"], template.options, "original")
     raw_variants = obj["variants"]
     if not isinstance(raw_variants, list):
-        raise SchemaError("variants must be a list", "variants", line)
+        raise SchemaError("variants must be a list", "variants")
     if len(raw_variants) != NUM_VARIANTS:
-        raise SchemaError(
-            f"expected {NUM_VARIANTS} variants, got {len(raw_variants)}", "variants", line
-        )
+        raise SchemaError(f"expected {NUM_VARIANTS} variants, got {len(raw_variants)}", "variants")
     variants = tuple(
-        _parse_member(v, template.options, f"variants[{i}]", line)
+        _parse_member(v, template.options, f"variants[{i}]")
         for i, v in enumerate(raw_variants)
     )
-    try:
-        return CohortInstance(
-            cohort_id=obj["cohort_id"], template=template, original=original, variants=variants
-        )
-    except SchemaError as exc:  # binding keys that differ from the parameters
-        raise SchemaError(exc.message, exc.field_path, line) from exc
+    return CohortInstance(
+        cohort_id=obj["cohort_id"], template=template, original=original, variants=variants
+    )
 
 
 def load_cohorts(path: str | Path) -> list[CohortInstance]:
     """Load all cohorts from a JSONL file, reporting line numbers on failure."""
-    return list(read_jsonl(path, parse_cohort))
+    return list(read_jsonl(path, lambda obj, line: parse_cohort(obj)))

@@ -28,10 +28,15 @@ INDENT = "    "
 
 def format_program(program: Program) -> str:
     """Render canonical source; parsing it back yields an equal AST."""
-    params = ", ".join(f"{name}: {kind.value}" for name, kind in program.params)
-    lines = [f"def answer({params}) -> int:"]
+    lines = [format_header(program.params) + ":"]
     _format_body(program.body, 1, lines)
     return "\n".join(lines) + "\n"
+
+
+def format_header(params: tuple[tuple[str, ValueKind], ...]) -> str:
+    """The `def answer(...) -> int` line of a signature, without its colon."""
+    inner = ", ".join(f"{name}: {kind.value}" for name, kind in params)
+    return f"def answer({inner}) -> int"
 
 
 def _format_body(body: tuple[Stmt, ...], depth: int, lines: list[str]) -> None:
@@ -85,20 +90,12 @@ def format_expr(expr: Expr) -> str:
 
 
 def _format_literal(lit: Literal) -> str:
-    if lit.kind is ValueKind.BOOL:
-        return "True" if lit.value else "False"
-    if lit.kind in (ValueKind.INT, ValueKind.FLOAT):
+    if lit.kind in (ValueKind.BOOL, ValueKind.INT, ValueKind.FLOAT):
         return repr(lit.value)
     if lit.kind is ValueKind.STR:
         return _quote(lit.value)
     if lit.kind is ValueKind.LIST:
-        inner = ", ".join(
-            "True" if isinstance(v, bool) and v
-            else "False" if isinstance(v, bool)
-            else _quote(v) if isinstance(v, str)
-            else repr(v)
-            for v in lit.value
-        )
+        inner = ", ".join(_quote(v) if isinstance(v, str) else repr(v) for v in lit.value)
         return f"[{inner}]"
     raise TypeError(f"unknown literal kind {lit.kind}")
 

@@ -21,10 +21,11 @@ class ValueKind(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "ValueKind":
-        try:
-            return cls(name)
-        except ValueError:
-            raise KeyError(name) from None
+        return KINDS[name]
+
+
+# the one table of kind names: headers, retrieve calls and fact files read it
+KINDS = {kind.value: kind for kind in ValueKind}
 
 
 # --- Expressions ---------------------------------------------------------

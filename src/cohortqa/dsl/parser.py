@@ -12,7 +12,9 @@ import functools
 import warnings
 from dataclasses import dataclass
 
+from .formatter import format_header
 from .nodes import (
+    KINDS,
     Append,
     Assign,
     Binary,
@@ -81,7 +83,9 @@ _CMP_OPS = {
     ast.GtE: ">=",
 }
 
-_KIND_NAMES = {"int", "float", "str", "bool", "list"}
+# the value kind of each type of constant a program may write
+_LITERAL_KINDS = {bool: ValueKind.BOOL, int: ValueKind.INT, float: ValueKind.FLOAT,
+                  str: ValueKind.STR}
 
 
 def _span(node: ast.AST) -> Span:
@@ -122,12 +126,13 @@ def _signature_of(fn: ast.FunctionDef) -> tuple[tuple[str, ValueKind], ...]:
     params = []
     for arg in args.args:
         ann = arg.annotation
-        if not (isinstance(ann, ast.Name) and ann.id in _KIND_NAMES):
+        kind = KINDS.get(ann.id) if isinstance(ann, ast.Name) else None
+        if kind is None:
             raise SignatureMismatch(
                 "parameter annotated with int/float/str/bool/list",
                 f"{arg.arg}: {ast.unparse(ann) if ann else '<missing>'}",
             )
-        params.append((arg.arg, ValueKind.from_name(ann.id)))
+        params.append((arg.arg, kind))
     return tuple(params)
 
 
@@ -161,16 +166,11 @@ def parse_program(source: str, header: str) -> Program:
         raise ForbiddenConstruct("decorator", _span(fn))
     found = _signature_of(fn)
     if found != expected:
-        raise SignatureMismatch(_render_signature(expected), _render_signature(found))
+        raise SignatureMismatch(format_header(expected), format_header(found))
 
     converter = _Converter(param_names=tuple(n for n, _ in expected))
     body = converter.convert_body(fn.body)
     return Program(params=expected, body=body)
-
-
-def _render_signature(params: tuple[tuple[str, ValueKind], ...]) -> str:
-    inner = ", ".join(f"{name}: {kind.value}" for name, kind in params)
-    return f"def answer({inner}) -> int"
 
 
 class _Converter:
@@ -313,7 +313,7 @@ class _Converter:
             if isinstance(node.op, ast.USub):
                 operand = node.operand
                 if isinstance(operand, ast.Constant) and type(operand.value) in (int, float):
-                    return self._number_literal(-operand.value)
+                    return Literal(_LITERAL_KINDS[type(operand.value)], -operand.value)
                 return Unary("neg", self.convert_expr(operand))
             raise ForbiddenConstruct(f"unary {type(node.op).__name__}", _span(node))
         if isinstance(node, ast.Subscript):
@@ -325,21 +325,11 @@ class _Converter:
             return VarRef(node.id)
         raise ProgramSyntaxError(f"unbound name {node.id!r}", _span(node))
 
-    def _number_literal(self, value) -> Literal:
-        kind = ValueKind.INT if isinstance(value, int) else ValueKind.FLOAT
-        return Literal(kind, value)
-
     def _convert_constant(self, node: ast.Constant) -> Literal:
-        value = node.value
-        if isinstance(value, bool):
-            return Literal(ValueKind.BOOL, value)
-        if isinstance(value, int):
-            return Literal(ValueKind.INT, value)
-        if isinstance(value, float):
-            return Literal(ValueKind.FLOAT, value)
-        if isinstance(value, str):
-            return Literal(ValueKind.STR, value)
-        raise ForbiddenConstruct(f"literal {value!r}", _span(node))
+        kind = _LITERAL_KINDS.get(type(node.value))
+        if kind is None:
+            raise ForbiddenConstruct(f"literal {node.value!r}", _span(node))
+        return Literal(kind, node.value)
 
     def _convert_list(self, node: ast.List) -> Literal:
         elements = []
@@ -382,9 +372,10 @@ class _Converter:
             raise ForbiddenConstruct("retrieve with wrong arity", _span(node))
         question = self._convert_question(node.args[0])
         kind_node = node.args[1]
-        if not (isinstance(kind_node, ast.Name) and kind_node.id in _KIND_NAMES):
+        kind = KINDS.get(kind_node.id) if isinstance(kind_node, ast.Name) else None
+        if kind is None:
             raise ForbiddenConstruct("retrieve kind must be int/float/str/bool/list", _span(node))
-        return RetrieveCall(question, ValueKind.from_name(kind_node.id))
+        return RetrieveCall(question, kind)
 
     def _convert_question(self, node: ast.expr) -> FormatString:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):

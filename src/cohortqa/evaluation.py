@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .data_model import CohortInstance
-from .dsl import Program, format_program
+from .dsl import Program, format_header
 from .retriever import OUTCOME_REJECTED
 from .reward import CohortExecutionSummary
 from .runtime import STATUS_ANSWERED, ExecutionLimits, ExecutionResult, RetrieveEvent, execute
@@ -72,9 +72,8 @@ def _check_signatures(cohort: CohortInstance, programs: Sequence[Program]) -> No
     """Each program must take the template's parameter names and kinds, in order."""
     for program in programs:
         if program.params != cohort.template.signature:
-            found = format_program(program).partition(":\n")[0]
-            raise ValueError(f"program header {found!r} does not match template header "
-                             f"{cohort.template.function_header!r}")
+            raise ValueError(f"program header {format_header(program.params)!r} does not match "
+                             f"template header {cohort.template.function_header!r}")
 
 
 def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:
@@ -221,14 +220,10 @@ def _majority(votes: Counter) -> Optional[int]:
     return ranked[0][0]
 
 
-@dataclass(frozen=True)
-class DomainStats:
+class DomainStats(NamedTuple):
     pass_rate: float
     ci_halfwidth: float
     n: int
-
-    def to_json(self) -> dict:
-        return {"pass_rate": self.pass_rate, "ci_halfwidth": self.ci_halfwidth, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -239,8 +234,8 @@ class AccuracyReport:
     def to_json(self) -> dict:
         return {
             "z": Z_95,
-            "overall": self.overall.to_json(),
-            "per_domain": {d: s.to_json() for d, s in sorted(self.per_domain.items())},
+            "overall": self.overall._asdict(),
+            "per_domain": {d: s._asdict() for d, s in sorted(self.per_domain.items())},
         }
 
 
@@ -277,10 +272,6 @@ class RejectionStats:
         rejected = sum(r for r, _ in self.per_category.values())
         total = sum(t for _, t in self.per_category.values())
         return rejected, total
-
-    def rate(self, category: Optional[str] = None) -> float:
-        rejected, total = self.per_category[category] if category else self.overall
-        return rejected / total
 
     def to_json(self) -> dict:
         out = {

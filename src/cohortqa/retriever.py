@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Protocol
 
 from . import data_model
 from .data_model import SchemaError, read_jsonl
-from .dsl import ValueKind
+from .dsl import KINDS, ValueKind
 
 OUTCOME_VALUE = "value"
 OUTCOME_REJECTED = "rejected"
@@ -143,29 +143,38 @@ class FactTable:
         return table
 
 
-_KINDS = {kind.value: kind for kind in ValueKind}
 _FACT_KEYS = ("q", "kind", "value")
 
 
 def _checked_facts(path: str | Path) -> dict[str, FactEntry]:
     """The facts of a file, each question's last line kept, as `dict` keeps
-    it; a repeat with another kind or value is a SchemaError."""
+    it; a repeat with another kind, value or JSON type is a SchemaError."""
     seen: dict[str, tuple[int, FactEntry]] = {}  # normalized question -> first line, entry
     table: dict[str, FactEntry] = {}
     for line, question, key, entry in read_jsonl(
             path, lambda record, line: (line, record["q"], *_fact(record, line)), _FACT_KEYS):
         first_line, first = seen.setdefault(key, (line, entry))
-        if first != entry:
+        if first_line != line and not (first.kind is entry.kind
+                                       and _same_json(first.value, entry.value)):
             raise SchemaError(f"question {question!r} repeats line {first_line} with a "
                               "different kind or value", line=line, path=path)
         table[key] = entry
     return table
 
 
+def _same_json(a, b) -> bool:
+    """Equal, and of the same JSON type item by item: 1 is neither 1.0 nor true."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
     question, name, value = record["q"], record["kind"], record["value"]
     try:
-        kind = _KINDS[name]
+        kind = KINDS[name]
     except (KeyError, TypeError):  # not a kind name: the enum words the error
         kind = ValueKind(name)
     if not isinstance(question, str):
@@ -388,8 +397,8 @@ class RemoteRetriever:
     one kept-alive connection, and at most 8 are being opened at once
     (`transport.HTTPSession`), so a pool of 32 does not overflow a server's
     listen backlog. `session` replaces that client with any object whose
-    `post(url, json=..., timeout=...)` returns a response with `status_code`
-    and `json()`.
+    `post(payload) -> (status, headers, body)` sends the JSON payload and
+    returns the reply: the status code, a mapping of headers and the raw body.
 
     A transport failure, a 429 or a 5xx reply is retried up to `max_retries`
     times. Before each retry it waits the reply's Retry-After seconds, or
@@ -446,23 +455,19 @@ class RemoteRetriever:
             if attempt:
                 self._sleep(wait_s)
             try:
-                resp = self._session.post(
-                    self.config.endpoint, json=payload, timeout=self.config.timeout_s
-                )
+                status, headers, body = self._session.post(payload)
             except self._transport_errors as exc:
                 last_reason = f"transport failure: {exc}"
                 wait_s = self._wait_s(attempt, {})
                 continue
-            status = resp.status_code
             if status == 429 or status >= 500:
                 last_reason = f"server error {status}" if status >= 500 else "http 429"
-                # a test double may have no headers
-                wait_s = self._wait_s(attempt, getattr(resp, "headers", {}))
+                wait_s = self._wait_s(attempt, headers)
                 continue
             if status != 200:
                 return RetrieveResponse(OUTCOME_ERROR, None, f"http {status}")
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
+                content = json.loads(body)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):
                 return RetrieveResponse(OUTCOME_ERROR, None, "malformed completion response")
             if not isinstance(content, str):

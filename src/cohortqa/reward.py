@@ -37,22 +37,12 @@ class CohortExecutionSummary:
             raise ValueError(f"n_rejected {self.n_rejected} outside [0, {COHORT_SIZE}]")
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     r_acc: float
     r_ret: float
     r_rej: float
     total: float
     variant: str
-
-    def to_json(self) -> dict:
-        return {
-            "r_acc": self.r_acc,
-            "r_ret": self.r_ret,
-            "r_rej": self.r_rej,
-            "total": self.total,
-            "variant": self.variant,
-        }
 
 
 def accuracy_reward(n_correct: int, variant: str = VARIANT_NORMAL) -> float:

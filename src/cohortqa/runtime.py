@@ -99,10 +99,6 @@ class ExecutionResult(NamedTuple):
     trace: tuple[RetrieveEvent, ...] = ()
 
     @property
-    def answered(self) -> bool:
-        return self.status == STATUS_ANSWERED
-
-    @property
     def dynamic_retrieve_count(self) -> int:
         return len(self.trace)
 

@@ -12,7 +12,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -91,10 +91,9 @@ class UpdateRecord(NamedTuple):
         }
 
 
-@dataclass
-class TrainingLog:
-    updates: list[UpdateRecord] = field(default_factory=list)
-    final_probabilities: tuple[float, ...] = ()
+class TrainingLog(NamedTuple):
+    updates: list[UpdateRecord]
+    final_probabilities: tuple[float, ...]
 
 
 def mode_reward(outcome: CohortOutcome, mode: str) -> float:
@@ -181,7 +180,7 @@ def run_toy_training(
         raise ValueError("empty cohort list")
     rng = random.Random(config.seed)
     logits = [0.0] * len(pool)  # the uniform policy
-    log = TrainingLog()
+    updates: list[UpdateRecord] = []
     # deterministic retriever => rewards are pure in (program, cohort); the
     # outcome itself is not kept once its reward is known
     reward_cache: dict[tuple[int, int], float] = {}
@@ -205,7 +204,7 @@ def run_toy_training(
         group = group_advantages(rewards)
         logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
         probs = softmax(logits)  # the next update's sampling distribution
-        log.updates.append(
+        updates.append(
             UpdateRecord(
                 cohort_index=cohort_index,
                 sampled=tuple(sampled),
@@ -218,5 +217,4 @@ def run_toy_training(
     if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
         raise ValueError(
             f"policy diverged at update {config.updates}: probabilities sum to {total!r}, not 1")
-    log.final_probabilities = tuple(probs)
-    return log
+    return TrainingLog(updates, tuple(probs))

@@ -1,10 +1,10 @@
 """JSON over HTTP/1.1 on the standard library, for the remote retriever.
 
-`HTTPSession.post` keeps the call shape of `requests.Session.post` for one
-endpoint. Each calling thread keeps one connection alive, and at most 8
-connections are being opened at once, so a pool of threads that starts
-together does not overflow a server's listen backlog. The route is resolved
-once per session:
+`HTTPSession.post(payload)` sends one JSON payload to one endpoint and
+returns `(status, headers, body)`. Each calling thread keeps one
+connection alive, and at most 8 connections are being opened at once, so
+a pool of threads that starts together does not overflow a server's
+listen backlog. The route is resolved once per session:
 
 - the proxy the environment names (`http_proxy`, `https_proxy`, `all_proxy`,
   bypassed by `no_proxy`): plain HTTP goes to it in absolute form, HTTPS
@@ -32,8 +32,6 @@ from . import __version__
 # what a failed exchange raises
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
-_encode = json.dumps  # `post` takes a parameter named json
-
 # how many of a session's connections may be between connect and their first
 # reply at once. Python's socketserver and http.server listen with a backlog
 # of 5, and a pool of 32 that connects at once overflows it: the kernel drops
@@ -42,20 +40,6 @@ _encode = json.dumps  # `post` takes a parameter named json
 # once than that one did, and a server that closes after every reply still
 # gets 8 requests at once. Fixed, not a setting.
 _OPENING_PERMITS = 8
-
-
-class Response:
-    """One reply: `status_code`, `headers` and the body behind `json()`."""
-
-    __slots__ = ("status_code", "headers", "body")
-
-    def __init__(self, status_code: int, headers: http.client.HTTPMessage, body: bytes):
-        self.status_code = status_code
-        self.headers = headers
-        self.body = body
-
-    def json(self):
-        return json.loads(self.body)
 
 
 def _basic(user: str, password: str) -> str:
@@ -166,12 +150,9 @@ class HTTPSession:
         self._local.conn = conn
         return conn
 
-    def post(self, url: str, json, timeout: float) -> Response:
-        """POST `json` to the session's endpoint.
-
-        `url` and `timeout` are the endpoint and timeout the session was
-        opened with; they keep the call shape that test doubles stand in for.
-        """
+    def post(self, payload) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """POST `payload` as JSON to the session's endpoint; the reply's
+        status, headers and body."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._open()
@@ -181,9 +162,9 @@ class HTTPSession:
         if opening:
             self._opening.acquire()
         try:
-            conn.request("POST", self._target, _encode(json).encode(), self._headers)
+            conn.request("POST", self._target, json.dumps(payload).encode(), self._headers)
             reply = conn.getresponse()
-            return Response(reply.status, reply.headers, reply.read())
+            return reply.status, reply.headers, reply.read()
         except TRANSPORT_ERRORS:
             conn.close()
             raise

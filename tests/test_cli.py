@@ -187,6 +187,25 @@ def test_reward_output_is_untouched_by_a_bad_line(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.jsonl", "rewards.jsonl"]
 
 
+@pytest.mark.parametrize("counts, error", [
+    ({"n_correct": True, "n_calls": 2.5, "n_rejected": False},
+     "n_correct must be an integer, not True (at n_correct)"),
+    ({"n_correct": 3, "n_calls": 2.5, "n_rejected": 0},
+     "n_calls must be an integer, not 2.5 (at n_calls)"),
+    ({"n_correct": 3, "n_calls": 2, "n_rejected": False},
+     "n_rejected must be an integer, not False (at n_rejected)"),
+    ({"n_correct": "3", "n_calls": 2, "n_rejected": 0},
+     "n_correct must be an integer, not '3' (at n_correct)"),
+], ids=["bools-and-float", "float-calls", "bool-rejected", "text-correct"])
+def test_reward_counts_must_be_integers(counts, error, tmp_path, capsys):
+    outcomes = tmp_path / "outcomes.jsonl"
+    outcomes.write_text(f"{_OUTCOME}\n{json.dumps(counts)}\n", encoding="utf-8")
+    code, out, err = run(capsys, "reward", "--outcomes", str(outcomes))
+    assert code == 1
+    assert len(out.splitlines()) == 1  # the first line's record
+    assert err == f"reward: {outcomes}: line 2: {error}\n"
+
+
 def test_sim_runs_and_logs(tmp_path, capsys):
     log_path = tmp_path / "log.jsonl"
     code, out, _ = run(
@@ -847,3 +866,21 @@ def test_sim_pool_names_must_be_distinct_strings(names, error, tmp_path, capsys)
         return
     assert (code, out) == (1, "")
     assert err == f"sim: {pool}: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_a_repeated_sample_names_both_lines(command, tmp_path, capsys):
+    conjunction = json.loads(_first_line(f"{FIX}/programs/conjunction_batch.jsonl"))
+    shortcut = json.loads(_first_line(f"{FIX}/programs/shortcut_batch.jsonl"))
+    programs = tmp_path / "programs.jsonl"
+    # the same sample index under another cohort is no repeat
+    lines = [conjunction, dict(conjunction, cohort_id="other-cohort"), shortcut]
+    programs.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    args = ["--cohorts", f"{FIX}/cohorts.jsonl", "--programs", str(programs)]
+    if command == "eval":
+        args += ["--k", "1", "--facts", f"{FIX}/facts.jsonl"]
+    code, out, err = run(capsys, command, *args)
+    assert code == 1
+    assert err == f"{command}: {programs}: line 3: sample hotpotqa-film-0001#0 repeats line 1\n"
+    # check reports each line as it reads it; eval reads the whole batch first
+    assert out.count("hotpotqa-film-0001#0") == (1 if command == "check" else 0)

@@ -144,18 +144,17 @@ def test_validate_cohort_ok_and_punctuation_insensitive():
     members = [_member(t, f"a{i}", f"b{i}", 0) for i in range(COHORT_SIZE)]
     # trailing punctuation and doubled spaces are normalized away
     members[2] = _member(t, "a2", "b2", 0, question="Is a2  bigger than b2")
-    report = validate_cohort(_cohort(t, members))
-    assert report.ok
+    assert all(validate_cohort(_cohort(t, members)))
 
 
 def test_validate_cohort_flags_text_mismatch():
     t = _template()
     members = [_member(t, f"a{i}", f"b{i}", 0) for i in range(COHORT_SIZE)]
     members[3] = _member(t, "a3", "b3", 0, question="Is something else entirely?")
-    report = validate_cohort(_cohort(t, members))
-    assert not report.ok
-    assert not report.members[3].template_match
-    assert report.members[0].ok
+    matches = validate_cohort(_cohort(t, members))
+    assert not all(matches)
+    assert not matches[3]
+    assert matches[0]
 
 
 def _record(t=None):
@@ -186,7 +185,15 @@ def test_parse_cohort_roundtrip():
     cohort = parse_cohort(_record())
     assert cohort.cohort_id == "c1"
     assert cohort.original.gold_index == 1
-    assert validate_cohort(cohort).ok
+    assert all(validate_cohort(cohort))
+
+
+def _cohorts_file(tmp_path, record, line):
+    """A cohort file whose `line` holds `record`, after good cohorts."""
+    path = tmp_path / "cohorts.jsonl"
+    good = [json.dumps(dict(_record(), cohort_id=f"ok{i}")) for i in range(line - 1)]
+    path.write_text("\n".join([*good, json.dumps(record)]) + "\n", encoding="utf-8")
+    return path
 
 
 def test_parse_cohort_accepts_letter_gold():
@@ -202,13 +209,14 @@ def test_parse_cohort_rejects_bool_gold():
         parse_cohort(record)
 
 
-def test_gold_out_of_range_fails_at_load_naming_the_member():
+def test_gold_out_of_range_fails_at_load_naming_the_member(tmp_path):
     record = _record()
     record["variants"][0]["gold"] = 5
+    path = _cohorts_file(tmp_path, record, 3)
     with pytest.raises(SchemaError) as info:
-        parse_cohort(record, line=3)
+        load_cohorts(path)
     assert str(info.value) == (
-        "line 3: gold index 5 out of range for 2 options (at variants[0].gold)"
+        f"{path}: line 3: gold index 5 out of range for 2 options (at variants[0].gold)"
     )
 
 
@@ -219,11 +227,11 @@ def test_parse_cohort_rejects_unknown_domain():
         parse_cohort(record)
 
 
-def test_parse_cohort_missing_key_names_field():
+def test_parse_cohort_missing_key_names_field(tmp_path):
     record = _record()
     del record["options"]
     with pytest.raises(SchemaError) as excinfo:
-        parse_cohort(record, line=7)
+        load_cohorts(_cohorts_file(tmp_path, record, 7))
     assert "options" in str(excinfo.value)
     assert "line 7" in str(excinfo.value)
 
@@ -235,12 +243,14 @@ def test_parse_cohort_missing_key_names_field():
     ("function_header", 5),
     ("function_header", ["def answer(X: str, Y: str) -> int"]),
 ])
-def test_parse_cohort_text_fields_must_be_strings(key, value):
+def test_parse_cohort_text_fields_must_be_strings(tmp_path, key, value):
     record = _record()
     record[key] = value
+    path = _cohorts_file(tmp_path, record, 3)
     with pytest.raises(SchemaError) as excinfo:
-        parse_cohort(record, line=3)
-    assert str(excinfo.value) == f"line 3: {key} must be a string, not {value!r} (at {key})"
+        load_cohorts(path)
+    assert str(excinfo.value) == (
+        f"{path}: line 3: {key} must be a string, not {value!r} (at {key})")
 
 
 def test_load_cohorts_reports_line_of_bad_json(tmp_path):
@@ -253,7 +263,7 @@ def test_load_cohorts_reports_line_of_bad_json(tmp_path):
 
 def test_load_cohorts_fixture(film_cohort):
     assert film_cohort.cohort_id == "hotpotqa-film-0001"
-    assert validate_cohort(film_cohort).ok
+    assert all(validate_cohort(film_cohort))
     assert [m.gold_index for m in film_cohort.members] == [1, 0, 1, 1, 0, 1]
 
 

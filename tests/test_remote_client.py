@@ -224,12 +224,13 @@ def test_close_closes_every_thread_connection(stubs, retrievers):
     stub.wait_closed(3)
 
 
-def _session_threads(session, endpoint, count, lookups):
+def _session_threads(session, count, lookups):
     """Run `lookups(post)` on `count` daemon threads, which must all end
     within 20 s: a thread stuck waiting for a permit fails the test and
-    does not hold up the exit."""
+    does not hold up the exit. `post()` returns the reply's status."""
     def post():
-        return session.post(endpoint, json={"model": "m"}, timeout=10)
+        status, _, _ = session.post({"model": "m"})
+        return status
 
     threads = [threading.Thread(target=lookups, args=(post,), daemon=True) for _ in range(count)]
     for thread in threads:
@@ -247,14 +248,14 @@ def test_at_most_eight_connections_are_opened_at_once(stubs):
     statuses = []
 
     def lookups(post):
-        statuses.append(post().status_code)  # opens this thread's connection
+        statuses.append(post())  # opens this thread's connection
         barrier.wait()  # every connection is open: the rest are kept-alive requests
-        statuses.extend(post().status_code for _ in range(3))
+        statuses.extend(post() for _ in range(3))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads switch often: a lost permit update would show
     try:
-        _session_threads(session, stub.endpoint, 32, lookups)
+        _session_threads(session, 32, lookups)
     finally:
         sys.setswitchinterval(interval)
         session.close()
@@ -271,7 +272,7 @@ def _posts_until_answered(count):
         for _ in range(count):
             for _ in range(20):
                 try:
-                    lookups.statuses.append(post().status_code)
+                    lookups.statuses.append(post())
                     break
                 except TRANSPORT_ERRORS as exc:
                     lookups.failures.append(exc)
@@ -287,7 +288,7 @@ def test_a_server_that_closes_after_each_reply_still_gets_eight_requests_at_once
     session = HTTPSession(stub.endpoint, timeout_s=10)
     lookups = _posts_until_answered(2)
     try:
-        _session_threads(session, stub.endpoint, 32, lookups)
+        _session_threads(session, 32, lookups)
     finally:
         session.close()
     assert lookups.statuses == [200] * 64
@@ -300,7 +301,7 @@ def test_a_failed_first_exchange_gives_its_permit_back(stubs):
     session = HTTPSession(stub.endpoint, timeout_s=10)
     lookups = _posts_until_answered(2)
     try:
-        _session_threads(session, stub.endpoint, 16, lookups)
+        _session_threads(session, 16, lookups)
     finally:
         session.close()
     assert lookups.statuses == [200] * 32

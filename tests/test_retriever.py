@@ -192,6 +192,7 @@ _KILLING = "Is The Act of Killing a documentary film that involves Indonesia?"
 
 _KILLING_FACT = {"q": _KILLING, "kind": "bool", "value": True}
 _HEIGHT = "How tall is the tower in metres?"
+_LIST = "Which films won the award?"
 _REPEATS = pytest.mark.parametrize("first, repeat, error", [
     (_KILLING_FACT,
      {"q": "is the act of killing a documentary film that involves indonesia", "kind": "bool",
@@ -203,10 +204,16 @@ _REPEATS = pytest.mark.parametrize("first, repeat, error", [
     (_KILLING_FACT,
      {"q": "IS THE ACT OF KILLING A DOCUMENTARY FILM THAT INVOLVES INDONESIA", "kind": "bool",
       "value": True}, None),
-    # equal, so allowed; the table holds the last line's value, 1.0 and not 1
-    ({"q": _HEIGHT, "kind": "float", "value": 1}, {"q": _HEIGHT, "kind": "float", "value": 1.0},
+    ({"q": _HEIGHT, "kind": "float", "value": 1.0}, {"q": _HEIGHT, "kind": "float", "value": 1.0},
      None),
-], ids=["other-value", "other-kind", "identical", "identical-number"])
+    # equal but of another JSON type, in either order: a program would see
+    # an int or a float, a bool or an int, depending on the line order
+    *(({"q": q, "kind": kind, "value": a}, {"q": q, "kind": kind, "value": b},
+       f"line 3: question {q!r} repeats line 1 with a different kind or value")
+      for q, kind, x, y in [(_HEIGHT, "float", 1, 1.0), (_LIST, "list", [True], [1])]
+      for a, b in [(x, y), (y, x)]),
+], ids=["other-value", "other-kind", "identical", "identical-number",
+        "int-then-float", "float-then-int", "bool-list-then-int-list", "int-list-then-bool-list"])
 
 
 def _facts_with_repeat(first, repeat) -> str:
@@ -254,13 +261,9 @@ def test_fact_table_rejects_wrongly_typed_value(tmp_path):
 
 # --- remote client --------------------------------------------------------
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        return self._payload
+def _response(status, payload=None):
+    """A `(status, headers, body)` reply, as `HTTPSession.post` returns it."""
+    return status, {}, json.dumps(payload).encode()
 
 
 class _FakeSession:
@@ -268,8 +271,8 @@ class _FakeSession:
         self.responses = list(responses)
         self.requests = []
 
-    def post(self, url, json=None, timeout=None):
-        self.requests.append(json)
+    def post(self, payload):
+        self.requests.append(payload)
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -281,7 +284,7 @@ def _reply(text):
 
 
 def test_remote_retriever_happy_path():
-    session = _FakeSession([_FakeResponse(200, _reply('```json\n{"answer": 8}\n```'))])
+    session = _FakeSession([_response(200, _reply('```json\n{"answer": 8}\n```'))])
     retr = RemoteRetriever(RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever"), session=session)
     response = retr.retrieve(RetrieveRequest("How many planets?", ValueKind.INT))
     assert response.outcome == OUTCOME_VALUE and response.value == 8
@@ -292,9 +295,9 @@ def test_remote_retriever_happy_path():
 
 def test_remote_retriever_retries_5xx_then_succeeds():
     session = _FakeSession([
-        _FakeResponse(500),
+        _response(500),
         ConnectionError("boom"),
-        _FakeResponse(200, _reply('```json\n{"answer": "idk"}\n```')),
+        _response(200, _reply('```json\n{"answer": "idk"}\n```')),
     ])
     config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3, backoff_base_s=0.0)
     response = RemoteRetriever(config, session=session).retrieve(
@@ -307,7 +310,7 @@ def test_remote_retriever_retries_5xx_then_succeeds():
 def test_remote_retriever_gives_up_with_error():
     config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=2, backoff_base_s=0.0)
     # max_retries counts retries after the first attempt: 3 calls total
-    session = _FakeSession([_FakeResponse(503), _FakeResponse(503), _FakeResponse(503)])
+    session = _FakeSession([_response(503), _response(503), _response(503)])
     response = RemoteRetriever(config, session=session).retrieve(
         RetrieveRequest("q?", ValueKind.BOOL)
     )
@@ -316,7 +319,7 @@ def test_remote_retriever_gives_up_with_error():
 
 def test_remote_retriever_4xx_is_immediate_error():
     config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3, backoff_base_s=0.0)
-    session = _FakeSession([_FakeResponse(400)])
+    session = _FakeSession([_response(400)])
     response = RemoteRetriever(config, session=session).retrieve(
         RetrieveRequest("q?", ValueKind.BOOL)
     )
