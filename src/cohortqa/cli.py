@@ -4,13 +4,13 @@ reward, sim, stats, report."""
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
-import os
 import sys
 import time
 from collections import defaultdict
-from contextlib import closing
+from contextlib import closing, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
@@ -369,21 +369,12 @@ def _reward_record(obj: dict, line: int) -> dict:
 
 
 def cmd_reward(args, parser) -> int:
-    lines = (_dump(record) + "\n" for record in read_jsonl(
+    text = "".join(_dump(record) + "\n" for record in read_jsonl(
         args.outcomes, _reward_record, tuple(_OUTCOME_TYPES)))
-    if not args.output:
-        sys.stdout.writelines(lines)
-        return EXIT_OK
-    # stream to a file beside --output and rename it only on success, so a
-    # failed run leaves no partial output and an existing file untouched
-    output = Path(args.output)
-    partial = output.with_name(f".{output.name}.{os.getpid()}.partial")
-    try:
-        with open(partial, "w", encoding="utf-8") as out:
-            out.writelines(lines)
-        os.replace(partial, output)
-    finally:
-        partial.unlink(missing_ok=True)
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -405,11 +396,6 @@ def cmd_sim(args, parser) -> int:
     # must take the same parameter names and kinds, as run_cohort requires
     first = cohorts[0].template
     for cohort in cohorts:
-        if cohort.template.parameter_names != first.parameter_names:
-            raise SchemaError(
-                f"cohort {cohort.cohort_id!r} params {list(cohort.template.parameter_names)} "
-                f"do not match the first cohort's params {list(first.parameter_names)}",
-                path=args.cohorts)
         if cohort.template.signature != first.signature:
             raise SchemaError(
                 f"cohort {cohort.cohort_id!r} header {cohort.template.function_header!r} "
@@ -623,8 +609,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # stdout is held until the command returns: an input error leaves it empty
+    out = io.StringIO()
     try:
-        return args.func(args, parser)
+        with redirect_stdout(out):
+            code = args.func(args, parser)
+        sys.stdout.write(out.getvalue())  # a closed pipe here is an OSError too
+        return code
     except (OSError, SchemaError, ParseError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

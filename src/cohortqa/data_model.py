@@ -84,7 +84,6 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
 class AbstractionTemplate:
     """Masked question plus the fixed inputs handed to the policy model."""
 
-    template_id: str
     masked_question: str
     parameter_names: tuple[str, ...]
     options: tuple[str, ...]
@@ -242,7 +241,6 @@ def parse_cohort(obj: dict) -> CohortInstance:
     if domain not in KNOWN_DOMAINS:
         raise SchemaError(f"unknown domain {domain!r}, expected one of {KNOWN_DOMAINS}", "domain")
     template = AbstractionTemplate(
-        template_id=obj["cohort_id"],
         masked_question=obj["masked_question"],
         parameter_names=tuple(parameters),
         options=tuple(options),

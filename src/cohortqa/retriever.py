@@ -5,15 +5,12 @@ the few-shot prompt's simple/complex rules; no backend applies it."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
 import random
 import re
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Protocol
 
@@ -123,24 +120,13 @@ class FactTable:
         return len(self._entries)
 
     def lookup(self, question: str) -> Optional[FactEntry]:
-        # normalize_question inlined to one call: it runs on every mock lookup
-        return self._entries.get(data_model.normalize_question(question.casefold()))
+        return self._entries.get(normalize_question(question))
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FactTable":
-        """Load a fact file; a question may repeat only with the same kind and value.
-
-        A regular file is read once, and a second time only if a question
-        repeats. Anything else (a pipe, say) cannot be read twice, so its
-        repeats are checked line by line in its one read.
-        """
-        if not os.path.isfile(path):
-            return cls(_checked_facts(path))
-        counted = itertools.count()  # zip advances it once per fact, with no Python loop
-        table = cls(dict(map(itemgetter(0), zip(read_jsonl(path, _fact, _FACT_KEYS), counted))))
-        if next(counted) > len(table):  # a question repeats: only then is the file read again
-            _checked_facts(path)
-        return table
+        """Load a fact file in one read, so a pipe loads as a regular file
+        does; a question may repeat only with the same kind and value."""
+        return cls(_checked_facts(path))
 
 
 _FACT_KEYS = ("q", "kind", "value")
@@ -149,29 +135,35 @@ _FACT_KEYS = ("q", "kind", "value")
 def _checked_facts(path: str | Path) -> dict[str, FactEntry]:
     """The facts of a file, each question's last line kept, as `dict` keeps
     it; a repeat with another kind, value or JSON type is a SchemaError."""
-    seen: dict[str, tuple[int, FactEntry]] = {}  # normalized question -> first line, entry
+    first_lines: dict[str, int] = {}  # normalized question -> its first line
     table: dict[str, FactEntry] = {}
-    for line, question, key, entry in read_jsonl(
-            path, lambda record, line: (line, record["q"], *_fact(record, line)), _FACT_KEYS):
-        first_line, first = seen.setdefault(key, (line, entry))
-        if first_line != line and not (first.kind is entry.kind
-                                       and _same_json(first.value, entry.value)):
-            raise SchemaError(f"question {question!r} repeats line {first_line} with a "
-                              "different kind or value", line=line, path=path)
+    for line, question, key, entry in read_jsonl(path, _fact, _FACT_KEYS):
+        first_line = first_lines.setdefault(key, line)
+        if first_line != line:
+            kept = table[key]
+            if kept != entry or _json_type(kept.value) != _json_type(entry.value):
+                raise SchemaError(f"question {question!r} repeats line {first_line} with "
+                                  f"{_described(entry)}; line {first_line} has {_described(kept)}",
+                                  line=line, path=path)
         table[key] = entry
     return table
 
 
-def _same_json(a, b) -> bool:
-    """Equal, and of the same JSON type item by item: 1 is neither 1.0 nor true."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b
+def _described(entry: FactEntry) -> str:
+    value = json.dumps(entry.value, ensure_ascii=False)
+    return f"kind {entry.kind.value}, value {value} of type {_json_type(entry.value)}"
 
 
-def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
+def _json_type(value) -> str:
+    """`int`, `float`, `bool`, `str`, or `list[...]` naming each item's type:
+    1 is neither 1.0 nor true, though they compare equal."""
+    if type(value) is list:
+        return f"list[{', '.join(map(_json_type, value))}]"
+    return type(value).__name__
+
+
+def _fact(record: dict, line: int) -> tuple[int, str, str, FactEntry]:
+    """The line, the question as written and normalized, and its entry."""
     question, name, value = record["q"], record["kind"], record["value"]
     try:
         kind = KINDS[name]
@@ -181,7 +173,7 @@ def _fact(record: dict, line: int) -> tuple[str, FactEntry]:
         raise SchemaError("q must be a string", "q")
     if not _value_conforms(kind, value):
         raise SchemaError(f"value {value!r} does not conform to kind {kind.value}", "value")
-    return normalize_question(question), FactEntry(kind, value)
+    return line, question, normalize_question(question), FactEntry(kind, value)
 
 
 class MockRetriever:

@@ -104,11 +104,13 @@ def group_advantages(rewards: Sequence[float]) -> GroupAdvantages:
     Plain floats, in numpy's order of operations: for groups under 8 the
     result equals `(arr - arr.mean()) / (arr.std() + 1e-8)` bit for bit;
     larger groups may differ in the last bits, because numpy then sums
-    pairwise.
+    pairwise. Equal rewards get exact zeros, where numpy may leave rounding error.
     """
     if len(rewards) == 0:
         raise ValueError("rewards must be non-empty")
     values = tuple(map(float, rewards))
+    if max(values) == min(values):
+        return GroupAdvantages(rewards=values, advantages=(0.0,) * len(values))
     n = len(values)
     mean = _left_sum(values) / n
     centered = [value - mean for value in values]

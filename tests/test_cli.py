@@ -202,7 +202,7 @@ def test_reward_counts_must_be_integers(counts, error, tmp_path, capsys):
     outcomes.write_text(f"{_OUTCOME}\n{json.dumps(counts)}\n", encoding="utf-8")
     code, out, err = run(capsys, "reward", "--outcomes", str(outcomes))
     assert code == 1
-    assert len(out.splitlines()) == 1  # the first line's record
+    assert out == ""  # not even the good first line's record
     assert err == f"reward: {outcomes}: line 2: {error}\n"
 
 
@@ -319,6 +319,20 @@ def test_report_renders_eval_json(tmp_path, capsys):
     assert code == 0
     assert "hotpotqa" in out
     assert "overall" in out
+
+
+def test_report_prints_nothing_when_a_later_input_is_bad(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    run(capsys, "eval", "--cohorts", f"{FIX}/cohorts.jsonl",
+        "--programs", f"{FIX}/programs/conjunction_batch.jsonl",
+        "--facts", f"{FIX}/facts.jsonl", "--no-timestamp", "--output", str(good))
+    bad.write_text("[]\n", encoding="utf-8")
+    code, out, _ = run(capsys, "report", str(good))
+    assert code == 0 and "overall" in out  # good.json alone renders its table
+    code, out, err = run(capsys, "report", str(good), str(bad))
+    assert code == 1
+    assert out == ""  # not even good.json's table
+    assert err == f"report: {bad}: not a JSON object\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -710,8 +724,8 @@ def _facts_with_conflicting_repeat() -> tuple[str, str]:
     facts = Path(f"{FIX}/facts.jsonl").read_text(encoding="utf-8").splitlines()
     question = json.loads(facts[1])["q"].lower().rstrip("?")
     repeat = json.dumps({"q": question, "kind": "bool", "value": False})
-    error = (f"line {len(facts) + 1}: question {question!r} "
-             "repeats line 2 with a different kind or value\n")
+    error = (f"line {len(facts) + 1}: question {question!r} repeats line 2 with kind bool, "
+             "value false of type bool; line 2 has kind bool, value true of type bool\n")
     return "\n".join([*facts, repeat]) + "\n", error
 
 
@@ -761,11 +775,13 @@ def test_sim_rejects_cohorts_with_different_parameters(tmp_path, capsys):
     log = tmp_path / "log.jsonl"
     code, out, err = run(capsys, "sim", "--cohorts", str(path), "--facts", f"{FIX}/facts.jsonl",
                          "--pool", f"{FIX}/pool.jsonl", "--updates", "3", "--output", str(log))
+    first_header = json.loads(_first_line(f"{FIX}/sim_cohorts.jsonl"))["function_header"]
     assert code == 1
     assert out == ""
+    # other names fail the one header check, as other kinds do
     assert err == (
-        f"sim: {path}: cohort 'xy-1' params ['X', 'Y'] do not match the first cohort's "
-        "params ['Film1', 'Film2', 'DocumentaryType', 'Country']\n"
+        f"sim: {path}: cohort 'xy-1' header 'def answer(X: str, Y: str) -> int' does not match "
+        f"the first cohort's header {first_header!r}\n"
     )
     assert not log.exists()
 
@@ -882,5 +898,5 @@ def test_a_repeated_sample_names_both_lines(command, tmp_path, capsys):
     code, out, err = run(capsys, command, *args)
     assert code == 1
     assert err == f"{command}: {programs}: line 3: sample hotpotqa-film-0001#0 repeats line 1\n"
-    # check reports each line as it reads it; eval reads the whole batch first
-    assert out.count("hotpotqa-film-0001#0") == (1 if command == "check" else 0)
+    # check has reported line 1 by then, but stdout is written only on success
+    assert out == ""

@@ -20,7 +20,6 @@ from cohortqa.dsl import ValueKind, parse_header
 
 def _template(**overrides):
     base = dict(
-        template_id="t0",
         masked_question="Is {X} bigger than {Y}?",
         parameter_names=("X", "Y"),
         options=("No", "Yes"),

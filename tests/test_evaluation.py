@@ -36,7 +36,7 @@ REALITY = [True, False, True, True, False, True]
 
 def _cohort():
     template = AbstractionTemplate(
-        template_id="t", masked_question="Is {X} real?", parameter_names=("X",),
+        masked_question="Is {X} real?", parameter_names=("X",),
         options=("No", "Yes"), function_header=HEADER, domain_tag="other",
     )
     members = [

@@ -198,20 +198,31 @@ _REPEATS = pytest.mark.parametrize("first, repeat, error", [
      {"q": "is the act of killing a documentary film that involves indonesia", "kind": "bool",
       "value": False},
      "line 3: question 'is the act of killing a documentary film that involves indonesia' "
-     "repeats line 1 with a different kind or value"),
+     "repeats line 1 with kind bool, value false of type bool; "
+     "line 1 has kind bool, value true of type bool"),
     (_KILLING_FACT, {"q": _KILLING, "kind": "str", "value": "yes"},
-     f"line 3: question {_KILLING!r} repeats line 1 with a different kind or value"),
+     f"line 3: question {_KILLING!r} repeats line 1 with kind str, value \"yes\" of type str; "
+     "line 1 has kind bool, value true of type bool"),
     (_KILLING_FACT,
      {"q": "IS THE ACT OF KILLING A DOCUMENTARY FILM THAT INVOLVES INDONESIA", "kind": "bool",
       "value": True}, None),
     ({"q": _HEIGHT, "kind": "float", "value": 1.0}, {"q": _HEIGHT, "kind": "float", "value": 1.0},
      None),
     # equal but of another JSON type, in either order: a program would see
-    # an int or a float, a bool or an int, depending on the line order
-    *(({"q": q, "kind": kind, "value": a}, {"q": q, "kind": kind, "value": b},
-       f"line 3: question {q!r} repeats line 1 with a different kind or value")
-      for q, kind, x, y in [(_HEIGHT, "float", 1, 1.0), (_LIST, "list", [True], [1])]
-      for a, b in [(x, y), (y, x)]),
+    # an int or a float, a bool or an int, depending on the line order; the
+    # message names both types
+    ({"q": _HEIGHT, "kind": "float", "value": 1}, {"q": _HEIGHT, "kind": "float", "value": 1.0},
+     f"line 3: question {_HEIGHT!r} repeats line 1 with kind float, value 1.0 of type float; "
+     "line 1 has kind float, value 1 of type int"),
+    ({"q": _HEIGHT, "kind": "float", "value": 1.0}, {"q": _HEIGHT, "kind": "float", "value": 1},
+     f"line 3: question {_HEIGHT!r} repeats line 1 with kind float, value 1 of type int; "
+     "line 1 has kind float, value 1.0 of type float"),
+    ({"q": _LIST, "kind": "list", "value": [True]}, {"q": _LIST, "kind": "list", "value": [1]},
+     f"line 3: question {_LIST!r} repeats line 1 with kind list, value [1] of type list[int]; "
+     "line 1 has kind list, value [true] of type list[bool]"),
+    ({"q": _LIST, "kind": "list", "value": [1]}, {"q": _LIST, "kind": "list", "value": [True]},
+     f"line 3: question {_LIST!r} repeats line 1 with kind list, value [true] of type "
+     "list[bool]; line 1 has kind list, value [1] of type list[int]"),
 ], ids=["other-value", "other-kind", "identical", "identical-number",
         "int-then-float", "float-then-int", "bool-list-then-int-list", "int-list-then-bool-list"])
 

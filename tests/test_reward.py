@@ -138,6 +138,14 @@ def test_zero_variance_group_is_all_zero():
     assert got.advantages == (0.0,) * 5
 
 
+def test_a_constant_group_whose_mean_does_not_round_back_is_all_zero():
+    # numpy's mean of these is off by one ulp, and that error divided by the
+    # epsilon alone gives 1.42e-06 each
+    rewards = [85.96505732907978] * 7
+    assert max(_numpy_advantages(rewards)) > 1e-6
+    assert group_advantages(rewards).advantages == (0.0,) * 7
+
+
 def test_empty_group_rejected():
     with pytest.raises(ValueError):
         group_advantages([])

@@ -269,6 +269,8 @@ def _reference_training(config, pool, cohorts, retriever):
             rewards.append(mode_reward(outcomes[key], config.mode))
         arr = np.asarray(rewards, dtype=float)
         advantages = ((arr - arr.mean()) / (arr.std() + 1e-8)).tolist()
+        if arr.min() == arr.max():  # a constant group's advantages are exact zeros
+            advantages = [0.0] * len(advantages)
         probs = _array_softmax(logits)
         grad = np.zeros_like(logits)
         for i, adv in zip(sampled, advantages):
