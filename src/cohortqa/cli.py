@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 import time
 from collections import defaultdict
@@ -28,7 +27,6 @@ from .evaluation import (
     vote,
 )
 from .retriever import (
-    OUTCOME_ERROR,
     FactTable,
     MockRetriever,
     RemoteRetriever,
@@ -244,9 +242,7 @@ def cmd_exec(args, parser) -> int:
         "was_rejected": result.was_rejected,
         "dynamic_retrieve_count": result.dynamic_retrieve_count,
     }))
-    if any(event.outcome == OUTCOME_ERROR for event in result.trace):
-        return EXIT_BACKEND
-    return EXIT_OK
+    return EXIT_BACKEND if result.backend_failed else EXIT_OK
 
 
 def cmd_eval(args, parser) -> int:
@@ -296,12 +292,7 @@ def cmd_eval(args, parser) -> int:
                 "n_rejected": outcome.n_rejected,
                 "n_calls": outcome.summary.n_calls,
                 "passed": apply_criterion(outcome, criterion),
-                "backend_errors": sum(
-                    event.outcome == OUTCOME_ERROR
-                    for sample in samples
-                    for trace in sample.traces
-                    for event in trace
-                ),
+                "backend_errors": outcome.backend_errors,
             })
     if not rows:
         print("eval: no programs to evaluate", file=sys.stderr)
@@ -379,16 +370,13 @@ def cmd_reward(args, parser) -> int:
 
 
 def cmd_sim(args, parser) -> int:
-    if args.rollouts < 2:
-        parser.error("--rollouts must be >= 2: group advantages need at least 2 rollouts")
-    if args.updates < 1:
-        parser.error("--updates must be >= 1")
-    if not math.isfinite(args.lr):
-        parser.error(f"--lr must be finite, not {args.lr}")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
     from .sim import ToyTrainConfig, run_toy_training
 
+    try:
+        config = ToyTrainConfig(rollouts_per_update=args.rollouts, updates=args.updates,
+                                learning_rate=args.lr, mode=args.variant, seed=args.seed)
+    except ValueError as exc:
+        parser.error(f"--rollouts, --updates, --lr, --seed: {exc}")
     cohorts = load_cohorts(args.cohorts)
     if not cohorts:
         raise SchemaError("no cohorts", path=args.cohorts)
@@ -415,13 +403,6 @@ def cmd_sim(args, parser) -> int:
                               line=line, path=args.pool)
     names = list(lines)
     pool = [program for _, _, program in candidates]
-    config = ToyTrainConfig(
-        rollouts_per_update=args.rollouts,
-        updates=args.updates,
-        learning_rate=args.lr,
-        mode=args.variant,
-        seed=args.seed,
-    )
     try:
         log = run_toy_training(config, pool, cohorts, retriever)
     except ValueError as exc:  # the policy diverged

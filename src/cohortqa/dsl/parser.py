@@ -397,16 +397,6 @@ class _Converter:
                 segments.append(Interp(name))
             else:
                 raise ForbiddenConstruct("unsupported f-string part", _span(node))
-        # merge adjacent literal runs so structurally equal questions compare equal
-        merged: list = []
-        for seg in segments:
-            if isinstance(seg, str):
-                if not seg:
-                    continue
-                if merged and isinstance(merged[-1], str):
-                    merged[-1] += seg
-                    continue
-            merged.append(seg)
-        if not merged:
-            merged = [""]
-        return FormatString(tuple(merged))
+        # CPython joins adjacent literal runs and drops empty ones, so equal
+        # questions give equal segments; only f"" is left with none
+        return FormatString(tuple(segments) or ("",))

@@ -58,6 +58,7 @@ class CohortOutcome:
     members: tuple[MemberOutcome, ...]  # original first
     summary: CohortExecutionSummary
     traces: tuple[tuple[RetrieveEvent, ...], ...] = ()
+    backend_errors: int = 0  # member executions that a failed lookup ended
 
     @property
     def n_correct(self) -> int:
@@ -76,22 +77,24 @@ def _check_signatures(cohort: CohortInstance, programs: Sequence[Program]) -> No
                              f"template header {cohort.template.function_header!r}")
 
 
+def _cohort_outcome(cohort_id: str, members: tuple[MemberOutcome, ...], n_calls: int,
+                    backend_errors: int, traces: tuple = ()) -> CohortOutcome:
+    """The one maker of CohortOutcomes: the summary counts its own members."""
+    summary = CohortExecutionSummary(
+        n_correct=sum(m.correct for m in members),
+        n_calls=n_calls,
+        n_rejected=sum(m.rejected for m in members),
+    )
+    return CohortOutcome(cohort_id, members, summary, traces, backend_errors)
+
+
 def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:
     members = tuple(
         MemberOutcome.from_result(result, member.gold_index)
         for result, member in zip(results, cohort.members)
     )
-    summary = CohortExecutionSummary(
-        n_correct=sum(m.correct for m in members),
-        n_calls=results[0].dynamic_retrieve_count,
-        n_rejected=sum(m.rejected for m in members),
-    )
-    return CohortOutcome(
-        cohort_id=cohort.cohort_id,
-        members=members,
-        summary=summary,
-        traces=tuple(r.trace for r in results),
-    )
+    return _cohort_outcome(cohort.cohort_id, members, results[0].dynamic_retrieve_count,
+                           sum(r.backend_failed for r in results), tuple(r.trace for r in results))
 
 
 def run_cohorts(
@@ -172,7 +175,7 @@ def vote(samples: Sequence[CohortOutcome], cohort: CohortInstance) -> CohortOutc
     as incorrect. A member is rejected if any sample's execution on it was
     rejected, and the consensus n_rejected counts those members, so it
     always equals sum(m.rejected for m in members). n_calls takes the max
-    over samples.
+    over samples, and backend_errors their sum.
     """
     if not samples:
         raise ValueError("need at least one program")
@@ -191,13 +194,9 @@ def vote(samples: Sequence[CohortOutcome], cohort: CohortInstance) -> CohortOutc
                 rejected=any(s.members[index].rejected for s in samples),
             )
         )
-    members = tuple(members)
-    summary = CohortExecutionSummary(
-        n_correct=sum(m.correct for m in members),
-        n_calls=max(s.summary.n_calls for s in samples),
-        n_rejected=sum(m.rejected for m in members),
-    )
-    return CohortOutcome(cohort_id=cohort.cohort_id, members=members, summary=summary)
+    return _cohort_outcome(cohort.cohort_id, tuple(members),
+                           max(s.summary.n_calls for s in samples),
+                           sum(s.backend_errors for s in samples))
 
 
 def self_consistency(

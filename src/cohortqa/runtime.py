@@ -36,6 +36,7 @@ from .dsl import (
     VarRef,
 )
 from .retriever import (
+    OUTCOME_ERROR,
     OUTCOME_REJECTED,
     OUTCOME_VALUE,
     Retriever,
@@ -101,6 +102,12 @@ class ExecutionResult(NamedTuple):
     @property
     def dynamic_retrieve_count(self) -> int:
         return len(self.trace)
+
+    @property
+    def backend_failed(self) -> bool:
+        """A lookup's `error` outcome ended this run; such a lookup always
+        raises, so it can only be the trace's last event."""
+        return bool(self.trace) and self.trace[-1].outcome == OUTCOME_ERROR
 
 
 class _RuntimeFailure(Exception):

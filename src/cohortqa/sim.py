@@ -64,6 +64,8 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.rollouts_per_update < 2:
             raise ValueError("group advantages need at least 2 rollouts")
+        if self.updates < 1:
+            raise ValueError(f"updates must be >= 1, not {self.updates}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not math.isfinite(self.learning_rate):

@@ -44,6 +44,43 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "line 1" in err
 
 
+def _set(path, value):
+    """An edit of a cohort record that sets the item at `path` (keys and indexes)."""
+    def edit(record):
+        *parents, last = path
+        for key in parents:
+            record = record[key]
+        record[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message, field", [
+    (_set(["options"], "No, Yes"), "options must be a list of strings", "options"),
+    (_set(["options", 1], 1), "options must be a list of strings", "options"),
+    (_set(["parameters"], [1, 2, 3, 4]), "parameters must be a list of strings", "parameters"),
+    (_set(["variants"], {}), "variants must be a list", "variants"),
+    (lambda record: record["variants"].pop(), "expected 5 variants, got 4", "variants"),
+    (_set(["original"], []), "member must be an object", "original"),
+    (lambda record: record["original"].pop("question"),
+     "missing key 'question'", "original.question"),
+    (_set(["variants", 1, "bindings", "Country"], 1),
+     "bindings must map strings to strings", "variants[1].bindings"),
+    (_set(["original", "question"], None), "question must be a string", "original.question"),
+    (_set(["original", "gold"], "Yes"), "unrecognized gold answer 'Yes'", "original.gold"),
+    (lambda record: record["parameters"].append("Film1"),
+     "duplicate parameter names", "parameters"),
+    (_set(["options", 0], ""), "empty option text", "options"),
+])
+def test_validate_names_the_schema_error(edit, message, field, tmp_path, capsys):
+    record = json.loads(Path(f"{FIX}/cohorts.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    edit(record)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"validate: {path}: line 1: {message} (at {field})\n"
+
+
 def test_check_passing_batch(capsys):
     code, out, _ = run(
         capsys, "check",
@@ -89,6 +126,43 @@ def test_exec_mock_requires_facts():
             "--cohort-id", "hotpotqa-film-0001",
         ])
     assert excinfo.value.code == 2
+
+
+_EMPTY_LOOKUP = """def answer(Film1: str, Film2: str, DocumentaryType: str, Country: str) -> int:
+    found = retrieve("", bool)
+    return 0
+"""
+
+
+@pytest.mark.parametrize("flags, source, code, err", [
+    (["--cohort-id", "no-such-cohort"], None, 1, "exec: unknown cohort 'no-such-cohort'\n"),
+    (["--member", "6"], None, 2, "error: --member must be in [0, 5]\n"),
+    ([], "def answer(:\n", 1, "exec: parse error: invalid syntax (line 1, col 12)\n"),
+    ([], _EMPTY_LOOKUP, 3, ""),  # the mock's answer to an empty question is an error
+])
+def test_exec_exits(flags, source, code, err, tmp_path, capsys):
+    program = f"{FIX}/programs/conjunction.py"
+    if source is not None:
+        program = tmp_path / "program.py"
+        program.write_text(source, encoding="utf-8")
+    argv = ["exec", "--program", str(program), "--cohorts", f"{FIX}/cohorts.jsonl",
+            "--cohort-id", "hotpotqa-film-0001", "--facts", f"{FIX}/facts.jsonl", *flags]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, got_err = capsys.readouterr()
+    assert got == code
+    assert got_err.endswith(err)
+    if code != 3:
+        assert out == ""
+        return
+    assert got_err == ""
+    # the trace line and the result line are still printed
+    event, result = (json.loads(line) for line in out.splitlines())
+    assert event == {"q": "", "kind": "bool", "outcome": "error", "reason": "empty question"}
+    assert (result["status"], result["failure_reason"], result["dynamic_retrieve_count"]) == (
+        "runtime_failure", "retriever backend error: empty question", 1)
 
 
 def test_remote_requires_endpoint():

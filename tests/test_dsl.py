@@ -8,18 +8,23 @@ from cohortqa.dsl import (
     FormatString,
     If,
     Interp,
+    Literal,
     ParseError,
     Program,
     RetrieveCall,
     Return,
     SignatureMismatch,
+    Unary,
     ValueKind,
+    VarRef,
     check_program,
     count_static_retrieves,
     format_program,
     parse_header,
     parse_program,
 )
+from cohortqa.retriever import FactEntry, FactTable, MockRetriever, normalize_question
+from cohortqa.runtime import execute
 
 HEADER = "def answer(X: str, Y: str) -> int"
 
@@ -119,6 +124,45 @@ def test_ternary_desugars_to_if():
     assert isinstance(stmt, If)
     assert isinstance(stmt.branches[0][1][0], Return)
     assert isinstance(stmt.orelse[0], Return)
+
+
+def _run(program: Program, x: str, facts=()):
+    """Execute on X=x, Y="b" against a table of (question, bool) facts."""
+    table = FactTable({normalize_question(q): FactEntry(ValueKind.BOOL, v) for q, v in facts})
+    return execute(program, {"X": x, "Y": "b"}, MockRetriever(table))
+
+
+def test_statement_ternary_assigns_in_each_branch():
+    program = parse("n = 1 if X == Y else 0\nreturn n")
+    cond = program.body[0].branches[0][0]
+    assert program.body[0] == If(branches=((cond, (Assign("n", Literal(ValueKind.INT, 1)),)),),
+                                 orelse=(Assign("n", Literal(ValueKind.INT, 0)),))
+    assert parse_program(format_program(program), HEADER) == program
+    assert [_run(program, x).answer for x in ("b", "c")] == [1, 0]
+
+
+def test_negative_number_literals_fold():
+    program = parse("n = -2\nm = -1.5\nk = -n\nif m < 0:\n    return k - 1\nreturn n")
+    assert [stmt.value for stmt in program.body[:3]] == [
+        Literal(ValueKind.INT, -2), Literal(ValueKind.FLOAT, -1.5), Unary("neg", VarRef("n"))]
+    assert parse_program(format_program(program), HEADER) == program
+    assert _run(program, "a").answer == 1
+
+
+@pytest.mark.parametrize("question, segments, rendered, answer", [
+    ('f"Is " f"{X}" "" f" real" "?"', ("Is ", Interp("X"), " real?"), "Is a real?", 1),
+    ('f"{X}" f"" "{{" f"{{"', (Interp("X"), "{{{"), "a{{{", 0),  # no fact: rejected
+    # the mock's answer to an empty question is an error, which ends the run
+    ('f""', ("",), "", None),
+    ('f"" ""', ("",), "", None),
+])
+def test_fstring_literal_runs_merge(question, segments, rendered, answer):
+    program = parse(f"v = retrieve({question}, bool)\nif v:\n    return 1\nreturn 0")
+    assert program.body[0].value.question.segments == segments
+    assert parse_program(format_program(program), HEADER) == program
+    result = _run(program, "a", facts=[("Is a real?", True)])
+    assert (result.trace[0].rendered_question, result.answer) == (rendered, answer)
+    assert result.backend_failed == (not rendered)
 
 
 def test_elif_chain_flattens():

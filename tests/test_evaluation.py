@@ -23,9 +23,17 @@ from cohortqa.evaluation import (
     run_cohort,
     run_cohorts,
     self_consistency,
+    vote,
     wald_halfwidth,
 )
-from cohortqa.retriever import FactEntry, FactTable, MockRetriever, normalize_question
+from cohortqa.retriever import (
+    OUTCOME_ERROR,
+    FactEntry,
+    FactTable,
+    MockRetriever,
+    RetrieveResponse,
+    normalize_question,
+)
 from cohortqa.reward import CohortExecutionSummary
 
 HEADER = "def answer(X: str) -> int"
@@ -189,6 +197,34 @@ def test_run_cohorts_draws_groups_lazily():
         # about 2 * jobs member executions (6 per group of 1) are queued ahead
         assert len(drawn) <= 2 * jobs // 6 + 2
         outcomes.close()
+
+
+class _ErrorsOn:
+    """Answers like `inner`, except that a question naming one of `names` is a
+    backend error."""
+
+    def __init__(self, inner, *names):
+        self.inner, self.names = inner, names
+
+    def retrieve(self, request):
+        if any(name in request.question for name in self.names):
+            return RetrieveResponse(OUTCOME_ERROR, None, "backend down")
+        return self.inner.retrieve(request)
+
+
+def test_backend_errors_count_error_events_and_vote_sums_them():
+    # Zeus's second lookup and Ares's first fail; a failed lookup ends its run
+    retriever = _ErrorsOn(_retr(), "Was Zeus", "Ares")
+    was = _prog('real = retrieve(f"Is {X} real?", bool)\n'
+                'near = retrieve(f"Was {X} real?", bool)\n'
+                "if real:\n    return 1\nreturn 0")
+    programs = (LOOKUP, was, ALWAYS_YES, ALWAYS_FAILS)  # a program bug is no backend error
+    samples = [run_cohort(program, _cohort(), retriever) for program in programs]
+    for outcome in samples:
+        events = [event for trace in outcome.traces for event in trace]
+        assert outcome.backend_errors == sum(e.outcome == OUTCOME_ERROR for e in events)
+    assert [s.backend_errors for s in samples] == [1, 2, 0, 0]
+    assert vote(samples, _cohort()).backend_errors == 3
 
 
 # --- criteria -------------------------------------------------------------

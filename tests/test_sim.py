@@ -56,6 +56,9 @@ def test_softmax_of_non_finite_logits_is_nan_not_an_error(logits):
 def test_config_validation():
     with pytest.raises(ValueError):
         ToyTrainConfig(rollouts_per_update=1)
+    for updates in (0, -3):
+        with pytest.raises(ValueError, match=f"^updates must be >= 1, not {updates}$"):
+            ToyTrainConfig(updates=updates)
     with pytest.raises(ValueError):
         ToyTrainConfig(mode="ppo")
     for learning_rate in (float("nan"), float("inf"), -float("inf")):
