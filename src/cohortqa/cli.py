@@ -8,7 +8,6 @@ import io
 import json
 import sys
 import time
-from collections import defaultdict
 from contextlib import closing, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
@@ -17,15 +16,8 @@ from urllib.parse import urlsplit
 
 from . import __version__
 from .data_model import CohortInstance, SchemaError, load_cohorts, read_jsonl, validate_cohort
-from .dsl import ParseError, Program, check_program, parse_program
-from .evaluation import (
-    EvalCriterion,
-    aggregate,
-    apply_criterion,
-    rejection_stats,
-    run_cohorts,
-    vote,
-)
+from .dsl import ParseError, check_program, parse_program
+from .evaluation import EvalCriterion, evaluate, rejection_stats
 from .retriever import (
     FactTable,
     MockRetriever,
@@ -147,9 +139,16 @@ def _read_batch(path: str) -> Iterator[dict]:
     return read_jsonl(path, record, tuple(_BATCH_TYPES))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(exc), path=path) from exc
+
+
 def _read_json_object(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}", path=path) from exc
     if not isinstance(data, dict):
@@ -222,7 +221,7 @@ def cmd_exec(args, parser) -> int:
         return EXIT_FAILURE
     if not 0 <= args.member < len(cohort.members):
         parser.error(f"--member must be in [0, {len(cohort.members) - 1}]")
-    source = Path(args.program).read_text(encoding="utf-8")
+    source = _read_text(args.program)
     try:
         program = parse_program(source, cohort.template.function_header)
     except ParseError as exc:
@@ -252,55 +251,17 @@ def cmd_eval(args, parser) -> int:
         parser.error("--jobs must be >= 1")
     limits = _make_limits(args, parser)
     cohorts = _cohorts_by_id(args.cohorts)
-    by_cohort: dict[str, list[dict]] = defaultdict(list)
-    for record in _read_batch(args.programs):
-        by_cohort[record["cohort_id"]].append(record)
-    retriever = _make_retriever(args, parser)
+    batch = list(_read_batch(args.programs))
     # the mock is GIL-bound: threads would only add overhead
     jobs = 1 if args.retriever == "mock" else args.jobs
-    criterion = EvalCriterion(args.criterion)
-
-    def groups():
-        for cohort_id in sorted(by_cohort):
-            cohort = cohorts.get(cohort_id)
-            if cohort is None:
-                raise SchemaError(f"unknown cohort {cohort_id!r}")
-            sources = [r["source"] for r in
-                       sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[: args.k]]
-            # duplicate samples share one parse; a Program is immutable
-            parsed: dict[str, Program] = {}
-            for source in sources:
-                if source not in parsed:
-                    try:
-                        parsed[source] = parse_program(source, cohort.template.function_header)
-                    except ParseError as exc:
-                        raise SchemaError(f"parse error in {cohort_id}: {exc}") from exc
-            yield cohort, [parsed[source] for source in sources]
-
-    rows = []
-    # closes the outcome stream first: that joins the pool, so no thread still
-    # holds a connection when the retriever closes
-    with closing(retriever), closing(run_cohorts(groups(), retriever, limits, jobs)) as outcomes:
-        for samples in outcomes:
-            cohort = cohorts[samples[0].cohort_id]
-            outcome = vote(samples, cohort)
-            rows.append({
-                "cohort_id": cohort.cohort_id,
-                "domain": cohort.template.domain_tag,
-                "k": len(samples),
-                "n_correct": outcome.n_correct,
-                "n_rejected": outcome.n_rejected,
-                "n_calls": outcome.summary.n_calls,
-                "passed": apply_criterion(outcome, criterion),
-                "backend_errors": outcome.backend_errors,
-            })
+    with closing(_make_retriever(args, parser)) as retriever:
+        rows, accuracy = evaluate(cohorts, batch, retriever, EvalCriterion(args.criterion),
+                                  args.k, limits, jobs)
     if not rows:
         print("eval: no programs to evaluate", file=sys.stderr)
         return EXIT_FAILURE
 
-    # a cohort whose lookups failed says nothing about the programs
-    scored = [(row["domain"], row["passed"]) for row in rows if not row["backend_errors"]]
-    accuracy = aggregate(scored).to_json() if scored else None
+    accuracy = None if accuracy is None else accuracy.to_json()
     report = _base_report(args)
     report.update(
         config={

@@ -47,15 +47,17 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
                required: tuple[str, ...] = ()) -> Iterator[T]:
     """Yield `parse(record, line)` for each JSON object line of a file.
 
-    Blank lines are skipped. Malformed JSON, a line that is not an object, a
+    Lines end at "\n", as JSON Lines has them. Blank lines are skipped. A
+    line that is not UTF-8, malformed JSON, a line that is not an object, a
     missing `required` key, and a ValueError or TypeError from `parse` each
     become a SchemaError that names the file and the line.
     """
-    with open(path, encoding="utf-8") as handle:
-        for line, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
+    with open(path, "rb") as handle:
+        for line, encoded in enumerate(handle, start=1):
             try:
+                raw = encoded.decode()
+                if not raw.strip():
+                    continue
                 # a line that starts with its value and ends in JSON whitespace
                 # decodes in one scan; decode words the error for any other
                 try:

@@ -26,22 +26,13 @@ from .nodes import (
     walk_exprs,
     walk_statements,
 )
-from .parser import (
-    ForbiddenConstruct,
-    ParseError,
-    ProgramSyntaxError,
-    SignatureMismatch,
-    Span,
-    parse_header,
-    parse_program,
-)
+from .parser import ForbiddenConstruct, ParseError, SignatureMismatch, parse_header, parse_program
 
 __all__ = [
     "KINDS", "Append", "Assign", "Binary", "BuiltinCall", "CheckReport",
     "Expr", "ForEach", "ForbiddenConstruct", "FormatString", "If", "Index",
     "Interp", "Literal", "MIN_RETRIEVES", "ParseError", "Program",
-    "ProgramSyntaxError", "RetrieveCall", "Return", "SignatureMismatch",
-    "Span", "Stmt", "Unary", "ValueKind", "VarRef",
+    "RetrieveCall", "Return", "SignatureMismatch", "Stmt", "Unary", "ValueKind", "VarRef",
     "check_program", "count_static_retrieves", "format_header", "format_program",
     "parse_header", "parse_program", "statement_exprs", "walk_exprs",
     "walk_statements",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 import functools
 import warnings
-from dataclasses import dataclass
 
 from .formatter import format_header
 from .nodes import (
@@ -36,43 +35,28 @@ from .nodes import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based source location of a parse error (line, column)."""
-
-    line: int
-    col: int
-
-    def __str__(self):
-        return f"line {self.line}, col {self.col}"
-
-
 class ParseError(ValueError):
-    """Base for all parse-time rejections."""
+    """Every parse-time rejection; `span` is its 1-based (line, col), if known."""
 
-    def __init__(self, message: str, span: Span | None = None):
+    def __init__(self, message: str, span: tuple[int, int] | None = None):
         self.span = span
-        if span is not None and span.line > 0:
-            message = f"{message} ({span})"
+        if span is not None and span[0] > 0:
+            message = f"{message} (line {span[0]}, col {span[1]})"
         super().__init__(message)
 
 
-class ProgramSyntaxError(ParseError):
-    pass
-
-
 class ForbiddenConstruct(ParseError):
-    def __init__(self, construct: str, span: Span | None = None):
-        self.construct = construct
+    def __init__(self, construct: str, span: tuple[int, int] | None = None):
         super().__init__(f"forbidden construct: {construct}", span)
 
 
 class SignatureMismatch(ParseError):
     def __init__(self, expected: str, found: str):
-        self.expected = expected
-        self.found = found
         super().__init__(f"signature mismatch: expected {expected!r}, found {found!r}")
 
+
+MAX_EXPR_DEPTH = 100  # far inside the recursion limit of the interpreter, checker, formatter
+_TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH}"
 
 _CMP_OPS = {
     ast.Eq: "==",
@@ -88,8 +72,8 @@ _LITERAL_KINDS = {bool: ValueKind.BOOL, int: ValueKind.INT, float: ValueKind.FLO
                   str: ValueKind.STR}
 
 
-def _span(node: ast.AST) -> Span:
-    return Span(getattr(node, "lineno", 0), getattr(node, "col_offset", -1) + 1)
+def _span(node: ast.AST) -> tuple[int, int]:
+    return getattr(node, "lineno", 0), getattr(node, "col_offset", -1) + 1
 
 
 @functools.lru_cache(maxsize=1024)
@@ -108,9 +92,11 @@ def parse_header(header: str) -> tuple[tuple[str, ValueKind], ...]:
     try:
         module = ast.parse(text + "\n    pass")
     except SyntaxError as exc:
-        raise ProgramSyntaxError(f"unparseable header: {exc.msg}") from exc
+        raise ParseError(f"unparseable header: {exc.msg}") from exc
+    except RecursionError:  # as in parse_program
+        raise ForbiddenConstruct(_TOO_DEEP) from None
     if len(module.body) != 1 or not isinstance(module.body[0], ast.FunctionDef):
-        raise ProgramSyntaxError("header must be a single function definition")
+        raise ParseError("header must be a single function definition")
     fn = module.body[0]
     if fn.name != "answer":
         raise SignatureMismatch("def answer(...)", f"def {fn.name}(...)")
@@ -147,8 +133,9 @@ def parse_program(source: str, header: str) -> Program:
             warnings.simplefilter("ignore", DeprecationWarning)
             module = ast.parse(source)
     except SyntaxError as exc:
-        span = Span(exc.lineno or 0, exc.offset or 0)
-        raise ProgramSyntaxError(exc.msg or "invalid syntax", span) from exc
+        raise ParseError(exc.msg or "invalid syntax", (exc.lineno or 0, exc.offset or 0)) from exc
+    except RecursionError:  # ast.parse's own nesting bound lies far past MAX_EXPR_DEPTH
+        raise ForbiddenConstruct(_TOO_DEEP) from None
 
     fn = None
     for node in module.body:
@@ -159,7 +146,7 @@ def parse_program(source: str, header: str) -> Program:
             continue
         raise ForbiddenConstruct(type(node).__name__, _span(node))
     if fn is None:
-        raise ProgramSyntaxError("no function definition found")
+        raise ParseError("no function definition found")
     if fn.name != "answer":
         raise SignatureMismatch("def answer(...)", f"def {fn.name}(...)")
     if fn.decorator_list:
@@ -267,26 +254,33 @@ class _Converter:
         ):
             target = call.func.value.id
             if target not in self.scope:
-                raise ProgramSyntaxError(f"unbound name {target!r}", _span(call))
+                raise ParseError(f"unbound name {target!r}", _span(call))
             return Append(target, self.convert_expr(call.args[0]))
         raise ForbiddenConstruct("bare expression statement", _span(node))
 
     # -- expressions --
 
-    def convert_expr(self, node: ast.expr) -> Expr:
+    def convert_expr(self, node: ast.expr, depth: int = 1) -> Expr:
+        """`depth` counts the DSL expression levels above and at `node`."""
+        if depth > MAX_EXPR_DEPTH:
+            raise ForbiddenConstruct(_TOO_DEEP, _span(node))
+        inner = depth + 1
         if isinstance(node, ast.Name):
             return self._convert_name(node)
         if isinstance(node, ast.Constant):
             return self._convert_constant(node)
         if isinstance(node, ast.List):
-            return self._convert_list(node)
+            return self._convert_list(node, inner)
         if isinstance(node, ast.Call):
-            return self._convert_call(node)
+            return self._convert_call(node, inner)
         if isinstance(node, ast.BoolOp):
+            # `a and b and c` folds to Binary(Binary(a, b), c): values[i]
+            # sits len(values) - max(i, 1) levels below this node
             op = "and" if isinstance(node.op, ast.And) else "or"
-            expr = self.convert_expr(node.values[0])
-            for value in node.values[1:]:
-                expr = Binary(op, expr, self.convert_expr(value))
+            values = node.values
+            expr = self.convert_expr(values[0], depth + len(values) - 1)
+            for i in range(1, len(values)):
+                expr = Binary(op, expr, self.convert_expr(values[i], depth + len(values) - i))
             return expr
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1:
@@ -296,8 +290,8 @@ class _Converter:
                 raise ForbiddenConstruct(f"comparison operator {op_type.__name__}", _span(node))
             return Binary(
                 _CMP_OPS[op_type],
-                self.convert_expr(node.left),
-                self.convert_expr(node.comparators[0]),
+                self.convert_expr(node.left, inner),
+                self.convert_expr(node.comparators[0], inner),
             )
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Add):
@@ -306,24 +300,25 @@ class _Converter:
                 op = "-"
             else:
                 raise ForbiddenConstruct(f"operator {type(node.op).__name__}", _span(node))
-            return Binary(op, self.convert_expr(node.left), self.convert_expr(node.right))
+            return Binary(op, self.convert_expr(node.left, inner),
+                          self.convert_expr(node.right, inner))
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.Not):
-                return Unary("not", self.convert_expr(node.operand))
+                return Unary("not", self.convert_expr(node.operand, inner))
             if isinstance(node.op, ast.USub):
                 operand = node.operand
                 if isinstance(operand, ast.Constant) and type(operand.value) in (int, float):
                     return Literal(_LITERAL_KINDS[type(operand.value)], -operand.value)
-                return Unary("neg", self.convert_expr(operand))
+                return Unary("neg", self.convert_expr(operand, inner))
             raise ForbiddenConstruct(f"unary {type(node.op).__name__}", _span(node))
         if isinstance(node, ast.Subscript):
-            return Index(self.convert_expr(node.value), self.convert_expr(node.slice))
+            return Index(self.convert_expr(node.value, inner), self.convert_expr(node.slice, inner))
         raise ForbiddenConstruct(type(node).__name__, _span(node))
 
     def _convert_name(self, node: ast.Name) -> Expr:
         if node.id in self.scope:
             return VarRef(node.id)
-        raise ProgramSyntaxError(f"unbound name {node.id!r}", _span(node))
+        raise ParseError(f"unbound name {node.id!r}", _span(node))
 
     def _convert_constant(self, node: ast.Constant) -> Literal:
         kind = _LITERAL_KINDS.get(type(node.value))
@@ -331,16 +326,17 @@ class _Converter:
             raise ForbiddenConstruct(f"literal {node.value!r}", _span(node))
         return Literal(kind, node.value)
 
-    def _convert_list(self, node: ast.List) -> Literal:
+    def _convert_list(self, node: ast.List, depth: int) -> Literal:
         elements = []
         for elt in node.elts:
-            lit = self.convert_expr(elt)
+            lit = self.convert_expr(elt, depth)
             if not isinstance(lit, Literal) or lit.kind is ValueKind.LIST:
                 raise ForbiddenConstruct("non-constant list element", _span(elt))
             elements.append(lit.value)
         return Literal(ValueKind.LIST, tuple(elements))
 
-    def _convert_call(self, node: ast.Call) -> Expr:
+    def _convert_call(self, node: ast.Call, depth: int) -> Expr:
+        """`depth` is that of the call's arguments."""
         if not isinstance(node.func, ast.Name):
             raise ForbiddenConstruct("call through attribute access", _span(node))
         if node.keywords:
@@ -359,12 +355,12 @@ class _Converter:
                 and len(arg.args) == 1
                 and not arg.keywords
             ):
-                return BuiltinCall("unique_count", (self.convert_expr(arg.args[0]),))
-            return BuiltinCall("len", (self.convert_expr(arg),))
+                return BuiltinCall("unique_count", (self.convert_expr(arg.args[0], depth),))
+            return BuiltinCall("len", (self.convert_expr(arg, depth),))
         if name in ("all", "any"):
             if len(node.args) != 1:
                 raise ForbiddenConstruct(f"{name} with wrong arity", _span(node))
-            return BuiltinCall(name, (self.convert_expr(node.args[0]),))
+            return BuiltinCall(name, (self.convert_expr(node.args[0], depth),))
         raise ForbiddenConstruct(f"call to {name!r}", _span(node))
 
     def _convert_retrieve(self, node: ast.Call) -> RetrieveCall:
@@ -393,7 +389,7 @@ class _Converter:
                     raise ForbiddenConstruct("non-name interpolation", _span(part))
                 name = part.value.id
                 if name not in self.scope:
-                    raise ProgramSyntaxError(f"unbound name {name!r}", _span(part))
+                    raise ParseError(f"unbound name {name!r}", _span(part))
                 segments.append(Interp(name))
             else:
                 raise ForbiddenConstruct("unsupported f-string part", _span(node))

@@ -1,16 +1,18 @@
 """Cohort execution test: per-member outcomes, strict/lenient criteria,
-self-consistency aggregation, and accuracy/rejection statistics."""
+self-consistency aggregation, the `eval` run, and accuracy/rejection
+statistics."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .data_model import CohortInstance
-from .dsl import Program, format_header
+from .data_model import CohortInstance, SchemaError
+from .dsl import ParseError, Program, format_header, parse_program
 from .retriever import OUTCOME_REJECTED
 from .reward import CohortExecutionSummary
 from .runtime import STATUS_ANSWERED, ExecutionLimits, ExecutionResult, RetrieveEvent, execute
@@ -260,6 +262,64 @@ def aggregate(outcomes: Iterable[tuple[str, bool]]) -> AccuracyReport:
     return AccuracyReport(
         per_domain=per_domain, overall=_stats(sum(passes.values()), sum(totals.values()))
     )
+
+
+def evaluate(
+    cohorts: Mapping[str, CohortInstance],
+    batch: Iterable[Mapping],
+    retriever,
+    criterion: EvalCriterion,
+    k: int = 1,
+    limits: ExecutionLimits = ExecutionLimits(),
+    jobs: int = 1,
+) -> tuple[list[dict], Optional[AccuracyReport]]:
+    """The `eval` run: one report row per cohort of a batch, in cohort-id
+    order, and the accuracy over the rows without backend errors, or None.
+
+    Each cohort votes over its first `k` records by `sample_index`. An
+    unknown cohort or a sample that does not parse is a SchemaError. The
+    pool is joined before this returns or raises, so the caller may then
+    close the retriever.
+    """
+    by_cohort: dict[str, list[Mapping]] = {}
+    for record in batch:
+        by_cohort.setdefault(record["cohort_id"], []).append(record)
+
+    def groups():
+        for cohort_id in sorted(by_cohort):
+            cohort = cohorts.get(cohort_id)
+            if cohort is None:
+                raise SchemaError(f"unknown cohort {cohort_id!r}")
+            sources = [r["source"] for r in
+                       sorted(by_cohort[cohort_id], key=lambda r: r["sample_index"])[:k]]
+            # duplicate samples share one parse; a Program is immutable
+            parsed: dict[str, Program] = {}
+            for source in sources:
+                if source not in parsed:
+                    try:
+                        parsed[source] = parse_program(source, cohort.template.function_header)
+                    except ParseError as exc:
+                        raise SchemaError(f"parse error in {cohort_id}: {exc}") from exc
+            yield cohort, [parsed[source] for source in sources]
+
+    rows = []
+    with closing(run_cohorts(groups(), retriever, limits, jobs)) as outcomes:
+        for samples in outcomes:
+            cohort = cohorts[samples[0].cohort_id]
+            outcome = vote(samples, cohort)
+            rows.append({
+                "cohort_id": cohort.cohort_id,
+                "domain": cohort.template.domain_tag,
+                "k": len(samples),
+                "n_correct": outcome.n_correct,
+                "n_rejected": outcome.n_rejected,
+                "n_calls": outcome.summary.n_calls,
+                "passed": apply_criterion(outcome, criterion),
+                "backend_errors": outcome.backend_errors,
+            })
+    # a cohort whose lookups failed says nothing about the programs
+    scored = [(row["domain"], row["passed"]) for row in rows if not row["backend_errors"]]
+    return rows, aggregate(scored) if scored else None
 
 
 @dataclass(frozen=True)

@@ -468,7 +468,7 @@ def test_eval_parses_each_distinct_source_once_per_cohort(tmp_path, capsys, monk
         parsed[source] += 1
         return parse_program(source, header)
 
-    monkeypatch.setattr(cohortqa.cli, "parse_program", counting_parse)
+    monkeypatch.setattr(cohortqa.evaluation, "parse_program", counting_parse)
     report = tmp_path / "report.json"
     code, _, _ = run(
         capsys, "eval", "--cohorts", str(cohorts), "--programs", str(programs),
@@ -490,6 +490,22 @@ def test_eval_parses_each_distinct_source_once_per_cohort(tmp_path, capsys, monk
                 row["passed"]) == (cohort.cohort_id, outcome.n_correct, outcome.n_rejected,
                                    outcome.summary.n_calls,
                                    apply_criterion(outcome, LENIENT_CRITERION))
+
+
+@pytest.mark.parametrize("terms", [101, 332, 50000])
+def test_eval_refuses_an_over_deep_program_in_one_line(terms, tmp_path, capsys):
+    deep = ("def answer(Film1: str, Film2: str, DocumentaryType: str, Country: str) -> int:\n"
+            f"    return {'+'.join(['1'] * terms)}\n")
+    samples = {"film-a": [_fixture_source("conjunction")], "film-b": [deep]}
+    cohorts, programs = tmp_path / "cohorts.jsonl", tmp_path / "programs.jsonl"
+    _copies_of_fixture_cohort(cohorts, samples)
+    _write_batch(programs, samples)
+    code, out, err = run(capsys, "eval", "--cohorts", str(cohorts), "--programs", str(programs),
+                         "--facts", f"{FIX}/facts.jsonl")
+    assert (code, out) == (1, "")
+    where = " (line 2, col 12)" if terms < 1000 else ""  # past ast.parse's bound it is unknown
+    assert err == ("eval: parse error in film-b: forbidden construct: "
+                   f"expression nested deeper than 100{where}\n")
 
 
 def test_eval_leaves_backend_errored_cohorts_out_of_accuracy(tmp_path, capsys):
@@ -625,6 +641,45 @@ def test_bad_jsonl_line_names_file_and_line(name, case, bad_line, tmp_path, caps
     code, _, err = run(capsys, *argv)  # an exception escaping main would be a traceback
     assert code == 1
     assert err.startswith(f"{argv[0]}: {path}: line 3: ")
+
+
+@pytest.mark.parametrize("name", _JSONL_INPUTS)
+def test_a_jsonl_line_that_is_not_utf8_names_file_and_line(name, tmp_path, capsys):
+    argv_for, first_line = _JSONL_INPUTS[name]
+    path = tmp_path / f"{name}.jsonl"
+    path.write_bytes(f"{first_line}\n\n".encode() + b'{"q": "caf\xe9"}\n')
+    argv = argv_for(str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"{argv[0]}: {path}: line 3: 'utf-8' codec can't decode byte 0xe9 "
+                   "in position 10: invalid continuation byte\n")
+
+
+def test_jsonl_lines_end_at_newline_and_a_crlf_ending_is_whitespace(tmp_path, capsys):
+    path = tmp_path / "outcomes.jsonl"
+    path.write_bytes(f"{_OUTCOME}\r\n\r\n{_OUTCOME}\r{_OUTCOME}\n".encode())
+    code, out, err = run(capsys, "reward", "--outcomes", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"reward: {path}: line 3: malformed JSON: Extra data")
+
+
+_WHOLE_FILE_INPUTS = {
+    "program": lambda path: ["exec", "--program", path, "--cohorts", f"{FIX}/cohorts.jsonl",
+                             "--cohort-id", "hotpotqa-film-0001", "--facts", f"{FIX}/facts.jsonl"],
+    "labels": lambda path: ["stats", "--labels", path, "--traces", path],  # labels read first
+    "report": lambda path: ["report", path],
+}
+
+
+@pytest.mark.parametrize("name", _WHOLE_FILE_INPUTS)
+def test_a_whole_file_input_that_is_not_utf8_names_the_file(name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b'{"caf\xe9": 1}\n')
+    argv = _WHOLE_FILE_INPUTS[name](str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"{argv[0]}: {path}: 'utf-8' codec can't decode byte 0xe9 "
+                   "in position 5: invalid continuation byte\n")
 
 
 @pytest.mark.parametrize("empty", ["--cohorts", "--pool"])

@@ -23,6 +23,7 @@ from cohortqa.dsl import (
     parse_header,
     parse_program,
 )
+from cohortqa.dsl.parser import MAX_EXPR_DEPTH
 from cohortqa.retriever import FactEntry, FactTable, MockRetriever, normalize_question
 from cohortqa.runtime import execute
 
@@ -221,6 +222,81 @@ def test_parse_error_message_names_line_and_column(body, message):
     with pytest.raises(ParseError) as excinfo:
         parse(body)
     assert str(excinfo.value) == message
+
+
+# --- expression depth ----------------------------------------------------
+
+def _sum_of_ones(terms: int) -> str:
+    return " + ".join(["1"] * terms)
+
+
+def _in_nested_ifs(ifs: int, statement: str) -> str:
+    """A body that reaches `statement` through `ifs` nested ifs."""
+    lines = [f"{'    ' * i}if X == X:" for i in range(ifs)]
+    return "\n".join([*lines, "    " * ifs + statement, "return 0"])
+
+
+def _at_depth(frames: int, call):
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+def test_an_expression_at_the_depth_bound_parses_formats_checks_and_runs():
+    # 98 ifs are 99 indents with the body's own, where CPython's bound is 100;
+    # the caller is 200 frames deep already
+    program = parse(_in_nested_ifs(98, f"return {_sum_of_ones(MAX_EXPR_DEPTH)}"))
+    assert parse_program(format_program(program), HEADER) == program
+    assert check_program(program).every_path_returns
+    result = _at_depth(200, lambda: execute(program, {"X": "a", "Y": "b"},
+                                            MockRetriever(FactTable({}))))
+    assert (result.status, result.answer) == ("answered", MAX_EXPR_DEPTH)
+
+
+_TOO_DEEP = f"forbidden construct: expression nested deeper than {MAX_EXPR_DEPTH}"
+
+
+@pytest.mark.parametrize("terms", [MAX_EXPR_DEPTH + 1, 332, 1000, 50000])
+def test_an_expression_past_the_depth_bound_is_forbidden(terms):
+    with pytest.raises(ForbiddenConstruct) as excinfo:
+        parse(f"v = 0\nreturn {_sum_of_ones(terms)}")
+    # past ast.parse's own bound the position is unknown
+    assert str(excinfo.value) in (f"{_TOO_DEEP} (line 3, col 12)", _TOO_DEEP)
+    if terms <= 1000:
+        assert excinfo.value.span == (3, 12)
+
+
+def _xs(terms: int) -> str:
+    return " + ".join(["X"] * terms)
+
+
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_a_flat_boolean_chain_counts_as_deep_as_it_folds(op):
+    # `a and b and c` folds to ((a and b) and c): the first value of n sits
+    # n levels down, the last one 2; a compare and its sum add 1 + terms
+    def chain(*values):
+        return parse(f"if {f' {op} '.join(values)}:\n    return 1\nreturn 0")
+
+    for values in (["True"] * MAX_EXPR_DEPTH, ["True", f"X == {_xs(MAX_EXPR_DEPTH - 2)}"]):
+        assert isinstance(chain(*values).body[0], If)
+    for values in (["True"] * (MAX_EXPR_DEPTH + 1), ["True", f"X == {_xs(MAX_EXPR_DEPTH - 1)}"],
+                   ["True"] * 3000):
+        with pytest.raises(ForbiddenConstruct, match=_TOO_DEEP):
+            chain(*values)
+
+
+@pytest.mark.parametrize("expression", [
+    "not " * MAX_EXPR_DEPTH + "True",
+    "-" * MAX_EXPR_DEPTH + "X",
+    "[" + _sum_of_ones(MAX_EXPR_DEPTH) + "]",
+    "len(" * MAX_EXPR_DEPTH + "X" + ")" * MAX_EXPR_DEPTH,
+])
+def test_every_nesting_expression_counts_toward_the_depth_bound(expression):
+    with pytest.raises(ForbiddenConstruct, match=_TOO_DEEP):
+        parse(f"v = {expression}\nreturn 0")
+
+
+def test_a_header_past_the_parser_bound_is_a_parse_error():
+    with pytest.raises(ForbiddenConstruct, match=_TOO_DEEP):
+        parse_header(f"def answer(X: {_sum_of_ones(50000)}) -> int")
 
 
 # --- formatting and round-trip -------------------------------------------

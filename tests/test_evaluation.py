@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from cohortqa.data_model import (
     AbstractionTemplate,
     CohortInstance,
     QuestionVariant,
+    SchemaError,
     instantiate_template,
 )
 from cohortqa.dsl import ValueKind, parse_program
@@ -19,6 +21,7 @@ from cohortqa.evaluation import (
     MemberOutcome,
     aggregate,
     apply_criterion,
+    evaluate,
     rejection_stats,
     run_cohort,
     run_cohorts,
@@ -70,9 +73,12 @@ def _retr(missing=()):
     return MockRetriever(FactTable(entries))
 
 
+def _source(body):
+    return f"{HEADER}:\n" + "\n".join("    " + line for line in body.strip().split("\n")) + "\n"
+
+
 def _prog(body):
-    indented = "\n".join("    " + line for line in body.strip().split("\n"))
-    return parse_program(f"{HEADER}:\n{indented}\n", HEADER)
+    return parse_program(_source(body), HEADER)
 
 
 LOOKUP = _prog(
@@ -295,6 +301,82 @@ def test_self_consistency_rejections_count_members():
 def test_self_consistency_requires_programs():
     with pytest.raises(ValueError):
         self_consistency([], _cohort(), _retr())
+
+
+# --- the eval run ---------------------------------------------------------
+
+LOOKUP_SOURCE = _source('real = retrieve(f"Is {X} real?", bool)\nif real:\n    return 1\nreturn 0')
+
+
+def _cohorts(*cohort_ids):
+    return {cohort_id: replace(_cohort(), cohort_id=cohort_id) for cohort_id in cohort_ids}
+
+
+def _batch(*samples):
+    """Records of (cohort_id, sample_index, source) triples, in file order."""
+    return [{"cohort_id": c, "sample_index": i, "source": s} for c, i, s in samples]
+
+
+def test_evaluate_votes_over_the_first_k_samples_by_index_in_any_file_order():
+    no = _source("return 0")
+    batch = _batch(("pantheon", 3, no), ("pantheon", 0, LOOKUP_SOURCE),
+                   ("pantheon", 2, no), ("pantheon", 1, LOOKUP_SOURCE))
+    for k, n_correct in ((1, 6), (2, 6), (3, 6), (4, 2), (9, 2)):  # a 2-2 tie fails gold-1 members
+        [row], _ = evaluate(_cohorts("pantheon"), batch, _retr(), LENIENT_CRITERION, k)
+        assert (row["k"], row["n_correct"]) == (min(k, 4), n_correct)
+
+
+def test_evaluate_gives_one_row_per_cohort_in_cohort_id_order():
+    batch = _batch(("b", 0, LOOKUP_SOURCE), ("c", 0, _source("return 1")),
+                   ("a", 0, _source("return 0")), ("b", 1, LOOKUP_SOURCE))
+    rows, accuracy = evaluate(_cohorts("a", "b", "c", "unused"), batch, _retr(),
+                              STRICT_CRITERION, k=2)
+    assert rows == [
+        {"cohort_id": "a", "domain": "other", "k": 1, "n_correct": 2, "n_rejected": 0,
+         "n_calls": 0, "passed": False, "backend_errors": 0},
+        {"cohort_id": "b", "domain": "other", "k": 2, "n_correct": 6, "n_rejected": 0,
+         "n_calls": 1, "passed": True, "backend_errors": 0},
+        {"cohort_id": "c", "domain": "other", "k": 1, "n_correct": 4, "n_rejected": 0,
+         "n_calls": 0, "passed": False, "backend_errors": 0},
+    ]
+    assert accuracy == aggregate([("other", False), ("other", True), ("other", False)])
+
+
+def test_evaluate_leaves_backend_errored_rows_out_of_accuracy():
+    retriever = _ErrorsOn(_retr(), "Zeus")
+    batch = _batch(("a", 0, _source("return 1")), ("b", 0, LOOKUP_SOURCE))
+    rows, accuracy = evaluate(_cohorts("a", "b"), batch, retriever, LENIENT_CRITERION)
+    assert [row["backend_errors"] for row in rows] == [0, 1]
+    assert accuracy == aggregate([("other", True)])
+    rows, accuracy = evaluate(_cohorts("b"), batch[1:], retriever, LENIENT_CRITERION)
+    assert [row["backend_errors"] for row in rows] == [1]
+    assert accuracy is None
+    assert evaluate(_cohorts("b"), [], retriever, LENIENT_CRITERION) == ([], None)
+
+
+@pytest.mark.parametrize("batch, message", [
+    (_batch(("a", 0, LOOKUP_SOURCE), ("z", 0, LOOKUP_SOURCE)), "unknown cohort 'z'"),
+    # the bare return of a's sample 1 lies beyond k = 1
+    (_batch(("a", 0, LOOKUP_SOURCE), ("a", 1, _source("return")), ("b", 0, _source("return"))),
+     "parse error in b: forbidden construct: bare return (line 2, col 5)"),
+])
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_evaluate_refuses_a_bad_batch_and_joins_its_pool(batch, message, jobs):
+    before = set(threading.enumerate())
+    with pytest.raises(SchemaError) as excinfo:
+        evaluate(_cohorts("a", "b"), batch, _SlowRetriever(_retr()), LENIENT_CRITERION,
+                 jobs=jobs)
+    assert str(excinfo.value) == message
+    assert set(threading.enumerate()) <= before
+
+
+def test_evaluate_joins_its_pool_before_it_returns():
+    before = set(threading.enumerate())
+    batch = _batch(*((cohort_id, i, LOOKUP_SOURCE) for cohort_id in "abc" for i in range(3)))
+    rows, _ = evaluate(_cohorts("a", "b", "c"), batch, _SlowRetriever(_retr()),
+                       LENIENT_CRITERION, k=3, jobs=4)
+    assert [row["n_correct"] for row in rows] == [6, 6, 6]
+    assert set(threading.enumerate()) <= before
 
 
 # --- statistics -----------------------------------------------------------
