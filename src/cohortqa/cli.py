@@ -403,13 +403,12 @@ def cmd_stats(args, parser) -> int:
     def label(question: str) -> str:
         return label_map.get(normalize_question(question), args.default_category)
 
-    events = []
-    for path in args.traces:
-        for line, event in read_jsonl(path, lambda obj, line: (line, obj)):
-            if not (isinstance(event.get("q"), str) and isinstance(event.get("outcome"), str)):
-                print(f"stats: {path}:{line}: not a retrieve event", file=sys.stderr)
-                return EXIT_FAILURE
-            events.append(event)
+    def retrieve_event(event: dict, line: int) -> dict:
+        if not (isinstance(event.get("q"), str) and isinstance(event.get("outcome"), str)):
+            raise SchemaError("not a retrieve event")
+        return event
+
+    events = [event for path in args.traces for event in read_jsonl(path, retrieve_event)]
     try:
         stats = rejection_stats(events, label)
     except ValueError as exc:

@@ -385,12 +385,15 @@ class RemoteRetriever:
     """JSON-over-HTTP chat-completion client with retry/backoff.
 
     Safe to share between threads. It does not bound requests in flight:
-    callers do (`run_cohorts` by its pool size). Each calling thread keeps
-    one kept-alive connection, and at most 8 are being opened at once
-    (`transport.HTTPSession`), so a pool of 32 does not overflow a server's
-    listen backlog. `session` replaces that client with any object whose
+    callers do (`run_cohorts` by its pool size). The default client,
+    `transport.HTTPSession`, speaks HTTP/1.1 on its own sockets: each calling
+    thread keeps one kept-alive connection, and at most 8 are being opened
+    at once, so a pool of 32 does not overflow a server's listen backlog.
+    `session` replaces that client with any object whose
     `post(payload) -> (status, headers, body)` sends the JSON payload and
-    returns the reply: the status code, a mapping of headers and the raw body.
+    returns the reply: the status code, a mapping of headers from which
+    `get("Retry-After")` reads that header (`transport.Headers` matches its
+    name in any case), and the raw body.
 
     A transport failure, a 429 or a 5xx reply is retried up to `max_retries`
     times. Before each retry it waits the reply's Retry-After seconds, or
@@ -406,7 +409,8 @@ class RemoteRetriever:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ):
-        # loaded only by the remote path: http.client costs ~25 ms to import
+        # loaded only by the remote path: the mock needs none of its socket,
+        # netrc and proxy code, about 7 ms to compile and import
         from .transport import TRANSPORT_ERRORS, HTTPSession
 
         self.config = config

@@ -1,14 +1,16 @@
-"""JSON over HTTP/1.1 on the standard library, for the remote retriever.
+"""JSON over HTTP/1.1 on plain sockets, for the remote retriever.
 
 `HTTPSession.post(payload)` sends one JSON payload to one endpoint and
 returns `(status, headers, body)`. Each calling thread keeps one
 connection alive, and at most 8 connections are being opened at once, so
 a pool of threads that starts together does not overflow a server's
-listen backlog. The route is resolved once per session:
+listen backlog. A request goes out in one write. A reply is framed by
+RFC 9112 (Content-Length, chunked, or up to the server's close), and one
+that breaks it raises `ReplyError`. The route is resolved once per session:
 
 - the proxy the environment names (`http_proxy`, `https_proxy`, `all_proxy`,
-  bypassed by `no_proxy`): plain HTTP goes to it in absolute form, HTTPS
-  through a CONNECT tunnel;
+  bypassed by `no_proxy`, read by urllib's rules): plain HTTP goes to it in
+  absolute form, HTTPS through a CONNECT tunnel;
 - Basic credentials from the endpoint URL, else from `$NETRC` or `~/.netrc`;
 - HTTPS verified against the system CA store (`SSL_CERT_FILE`,
   `SSL_CERT_DIR`).
@@ -17,7 +19,6 @@ listen backlog. The route is resolved once per session:
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import netrc
 import os
@@ -25,12 +26,11 @@ import select
 import socket
 import threading
 from urllib.parse import unquote, urlsplit, urlunsplit
-from urllib.request import getproxies, proxy_bypass
 
 from . import __version__
 
 # what a failed exchange raises
-TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+TRANSPORT_ERRORS = (OSError,)
 
 # how many of a session's connections may be between connect and their first
 # reply at once. Python's socketserver and http.server listen with a backlog
@@ -40,6 +40,29 @@ TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 # once than that one did, and a server that closes after every reply still
 # gets 8 requests at once. Fixed, not a setting.
 _OPENING_PERMITS = 8
+
+# a reply's head may have lines of up to 64 KiB and up to 100 header lines,
+# the limits http.client named
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class ReplyError(OSError):
+    """A reply that breaks HTTP/1.1's message syntax (RFC 9112)."""
+
+
+class Headers(dict):
+    """A reply's header fields by lower-cased name; lookups ignore case.
+    A repeated field's values are joined with ", "."""
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name) -> bool:
+        return super().__contains__(name.lower())
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
 
 
 def _basic(user: str, password: str) -> str:
@@ -70,6 +93,113 @@ def _netrc_credentials(host: str) -> tuple[str, str] | None:
     return login or account, password
 
 
+def _environment_proxies() -> dict[str, str]:
+    """The `<scheme>_proxy` variables by scheme, as urllib reads them: a
+    lower-case name wins and an empty one unsets, and when `REQUEST_METHOD`
+    is set (a CGI request) `HTTP_PROXY` in any other case is ignored, because
+    a client's `Proxy:` header can set it."""
+    proxies = {name.lower()[:-6]: value for name, value in os.environ.items()
+               if value and name.lower().endswith("_proxy")}
+    if "REQUEST_METHOD" in os.environ:
+        proxies.pop("http", None)
+    for name, value in os.environ.items():
+        if name.endswith("_proxy"):
+            proxies[name[:-6].lower()] = value
+    return {scheme: value for scheme, value in proxies.items() if value}
+
+
+def _bypassed(hostport: str, proxies: dict[str, str]) -> bool:
+    """True if `proxies["no"]` exempts `hostport`, as urllib decides it: it
+    is `*`, or one of its comma-separated entries, less leading dots, is the
+    host (with or without its port) or a domain suffix of it."""
+    no_proxy = proxies.get("no", "")
+    if no_proxy == "*":
+        return True
+    host = hostport.lower()
+    head, colon, port = host.rpartition(":")
+    hosts = {host, head if colon and not port.strip("0123456789") else host}  # an empty port too
+    names = [name.strip().lstrip(".").lower() for name in no_proxy.split(",") if name.strip()]
+    return any(h == name or h.endswith("." + name) for h in hosts for name in names)
+
+
+def _head(request_line: str, headers: dict[str, str]) -> bytes:
+    lines = [f"{request_line} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
+    return "\r\n".join(lines).encode("ascii") + b"\r\n"
+
+
+def _line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ReplyError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_fields(reader) -> dict[str, str]:
+    """Header (or trailer) lines up to the blank line that ends them, by
+    lower-cased name."""
+    fields = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise ReplyError(f"bad header line {line[:80]!r}")
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise ReplyError(f"more than {_MAX_HEADERS} headers")
+
+
+def _read_head(reader) -> tuple[bytes, int, dict[str, str]]:
+    """The version, status and headers of the next reply that is not 1xx."""
+    while True:
+        line = _line(reader)
+        if not line:
+            raise ReplyError("connection closed before a reply")
+        parts = line.split(None, 2)
+        if not (len(parts) > 1 and parts[0].startswith(b"HTTP/1.") and len(parts[1]) == 3
+                and parts[1].isdigit()):
+            raise ReplyError(f"bad status line {line[:80]!r}")
+        fields = _read_fields(reader)
+        if int(parts[1]) >= 200:
+            return parts[0], int(parts[1]), fields
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _line(reader)
+        size = line.partition(b";")[0].strip()  # a chunk extension is ignored
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise ReplyError(f"bad chunk size line {line[:80]!r}")
+        size = int(size, 16)
+        if not size:
+            _read_fields(reader)  # the trailer
+            return b"".join(chunks)
+        chunks.append(reader.read(size))
+        if len(chunks[-1]) < size or _line(reader) not in (b"\r\n", b"\n"):
+            raise ReplyError("reply chunk cut short")
+
+
+def _read_body(reader, version: bytes, status: int, fields: dict[str, str]) -> tuple[bytes, bool]:
+    """The reply's body, and whether its connection may carry another request."""
+    tokens = {token.strip() for token in fields.get("connection", "").lower().split(",")}
+    keep = "close" not in tokens and (version != b"HTTP/1.0" or "keep-alive" in tokens)
+    encoding, length = fields.get("transfer-encoding"), fields.get("content-length")
+    if status in (204, 304):
+        return b"", keep
+    if encoding is not None and encoding.rpartition(",")[2].strip().lower() == "chunked":
+        return _read_chunked(reader), keep
+    if encoding is not None or length is None:  # delimited by the server's close
+        return reader.read(), False
+    if not (length.isascii() and length.isdigit()):
+        raise ReplyError(f"bad Content-Length {length!r}")
+    body = reader.read(int(length))
+    if len(body) < int(length):
+        raise ReplyError(f"reply body ended after {len(body)} of {length} bytes")
+    return body, keep
+
+
 def _peer_closed(sock: socket.socket) -> bool:
     """True if an idle kept-alive socket is readable: nothing was asked of it,
     so the peer has closed it (or broken the protocol), and it cannot carry a
@@ -81,15 +211,30 @@ def _peer_closed(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
+class _Connection:
+    """One thread's socket and its reply reader, both None while closed."""
+
+    sock = reader = None
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.reader.close()  # a socket with a live makefile() stays open
+            self.sock.close()
+            self.sock = self.reader = None
+
+
 class HTTPSession:
     """POST JSON to one endpoint, one kept-alive connection per thread.
 
-    Before reusing a connection the session checks that the peer has not
-    closed it and reconnects if it has, so a dropped idle connection costs no
-    retry. A connection that fails mid-exchange is closed, and the thread's
-    next request opens a new one. A request on a new or reopened connection
-    first takes one of 8 permits, and gives it back once its reply is read or
-    the exchange fails: only a reply shows that the server has taken the
+    The request head is built once: each request is that head, its
+    Content-Length and the body, sent in one `sendall`. Each connection
+    keeps one buffered reader for its replies. Before reusing a connection
+    the session checks that the peer has not closed it and reconnects if it
+    has, so a dropped idle connection costs no retry. A connection that fails
+    mid-exchange, or whose reply ends it, is closed, and the thread's next
+    request opens a new one. A request on a new or reopened connection first
+    takes one of 8 permits, and gives it back once its reply is read or the
+    exchange fails: only a reply shows that the server has taken the
     connection off its listen backlog. Requests on a kept-alive connection
     take none, so the permits bound connects, not requests in flight.
     `close` closes every connection opened.
@@ -97,30 +242,28 @@ class HTTPSession:
 
     def __init__(self, endpoint: str, timeout_s: float):
         url = urlsplit(endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
+        hostport = url.netloc.rpartition("@")[2]
+        target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        # the request line and Host go out as they are: an IDN host is given as xn--
+        if url.scheme not in ("http", "https") or not url.hostname or not (hostport + target).isascii():
+            raise ValueError(f"endpoint {endpoint!r} is not an ASCII http:// or https:// URL")
         tls = url.scheme == "https"
         host, port = url.hostname, url.port or (443 if tls else 80)
-        hostport = url.netloc.rpartition("@")[2]
-        self._headers = {
+        headers = {
+            "Host": hostport,
+            "Accept-Encoding": "identity",
             "Content-Type": "application/json",
             "Accept": "application/json",
             "User-Agent": f"cohortqa/{__version__}",
         }
         credentials = _url_credentials(url) or _netrc_credentials(host)
         if credentials:
-            self._headers["Authorization"] = _basic(*credentials)
-        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+            headers["Authorization"] = _basic(*credentials)
 
-        self._options: dict = {"timeout": timeout_s}
-        if tls:
-            import ssl
-
-            self._options["context"] = ssl.create_default_context()
         self._tunnel = None
-        proxies = getproxies()
+        proxies = _environment_proxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not proxy_bypass(hostport):
+        if proxy and not _bypassed(hostport, proxies):
             proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
             if proxy_url.scheme != "http" or not proxy_url.hostname:
                 raise ValueError(f"proxy {proxy!r}: only http:// proxies are supported")
@@ -129,48 +272,72 @@ class HTTPSession:
             if proxy_credentials:
                 proxy_headers["Proxy-Authorization"] = _basic(*proxy_credentials)
             if tls:
-                self._tunnel = (host, port, proxy_headers)
+                authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+                self._tunnel = _head(f"CONNECT {authority}", {"Host": authority, **proxy_headers})
             else:
-                self._target = urlunsplit(("http", hostport, self._target, "", ""))
-                self._headers.update(proxy_headers)
+                target = urlunsplit(("http", hostport, target, "", ""))
+                headers.update(proxy_headers)
             host, port = proxy_url.hostname, proxy_url.port or 80
-        self._connection_type = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        self._head = _head(f"POST {target}", headers) + b"Content-Length: "
+        self._tls = None
+        if tls:
+            import ssl
+
+            self._tls = ssl.create_default_context(), url.hostname
         self._address = (host, port)
+        self._timeout_s = timeout_s
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._opened: list[http.client.HTTPConnection] = []
+        self._opened: list[_Connection] = []
         self._opening = threading.BoundedSemaphore(_OPENING_PERMITS)
 
-    def _open(self) -> http.client.HTTPConnection:
-        conn = self._connection_type(*self._address, **self._options)
-        if self._tunnel:
-            conn.set_tunnel(*self._tunnel)
-        with self._lock:
-            self._opened.append(conn)
-        self._local.conn = conn
-        return conn
+    def _connect(self, conn: _Connection) -> None:
+        sock = socket.create_connection(self._address, self._timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                sock.sendall(self._tunnel + b"\r\n")
+                with sock.makefile("rb") as reader:
+                    _, status, _ = _read_head(reader)
+                if status // 100 != 2:
+                    raise ReplyError(f"proxy refused the tunnel: {status}")
+            if self._tls:
+                context, server_hostname = self._tls
+                sock = context.wrap_socket(sock, server_hostname=server_hostname)
+        except BaseException:
+            sock.close()
+            raise
+        conn.sock, conn.reader = sock, sock.makefile("rb")
 
-    def post(self, payload) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def post(self, payload) -> tuple[int, Headers, bytes]:
         """POST `payload` as JSON to the session's endpoint; the reply's
         status, headers and body."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = self._open()
+            conn = self._local.conn = _Connection()
+            with self._lock:
+                self._opened.append(conn)
         elif conn.sock is not None and _peer_closed(conn.sock):
-            conn.close()  # request() reconnects
+            conn.close()
         opening = conn.sock is None  # new, reopened, or closed after a failure
         if opening:
             self._opening.acquire()
         try:
-            conn.request("POST", self._target, json.dumps(payload).encode(), self._headers)
-            reply = conn.getresponse()
-            return reply.status, reply.headers, reply.read()
-        except TRANSPORT_ERRORS:
+            if opening:
+                self._connect(conn)
+            body = json.dumps(payload).encode()
+            conn.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+            version, status, fields = _read_head(conn.reader)
+            body, keep = _read_body(conn.reader, version, status, fields)
+        except BaseException:
             conn.close()
             raise
         finally:
             if opening:
                 self._opening.release()
+        if not keep:
+            conn.close()
+        return status, Headers(fields), body
 
     def close(self) -> None:
         with self._lock:

@@ -352,7 +352,7 @@ def test_stats_on_exec_output_names_the_result_line(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
     assert out == ""
-    assert err == f"stats: {traces}:{len(lines)}: not a retrieve event\n"
+    assert err == f"stats: {traces}: line {len(lines)}: not a retrieve event\n"
 
     # the retrieve events alone are read as they are
     traces.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
@@ -366,7 +366,7 @@ def test_stats_rejects_line_without_outcome(tmp_path, capsys):
     traces.write_text('\n{"q": "Is Amy a documentary film?"}\n', encoding="utf-8")
     code, _, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
-    assert err == f"stats: {traces}:2: not a retrieve event\n"
+    assert err == f"stats: {traces}: line 2: not a retrieve event\n"
 
 
 @pytest.mark.parametrize("event", [{"q": ["Is Amy a documentary film?"], "outcome": "value"},
@@ -376,7 +376,7 @@ def test_stats_rejects_a_question_or_outcome_that_is_not_text(event, tmp_path, c
     traces.write_text(json.dumps(event) + "\n", encoding="utf-8")
     code, _, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
-    assert err == f"stats: {traces}:1: not a retrieve event\n"
+    assert err == f"stats: {traces}: line 1: not a retrieve event\n"
 
 
 def test_report_renders_eval_json(tmp_path, capsys):

@@ -14,8 +14,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.request import getproxies_environment, proxy_bypass_environment
 
 import pytest
+from hypothesis import given, strategies as st
 
 import cohortqa
 from cohortqa.cli import main
@@ -28,7 +30,7 @@ from cohortqa.retriever import (
     RemoteRetrieverConfig,
     RetrieveRequest,
 )
-from cohortqa.transport import TRANSPORT_ERRORS, HTTPSession
+from cohortqa.transport import TRANSPORT_ERRORS, HTTPSession, _bypassed, _environment_proxies
 
 _TRUE = '```json\n{"answer": true}\n```'
 _PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD")
@@ -428,3 +430,215 @@ def test_bad_remote_settings_are_usage_errors(flags, capsys):
               "--retriever", "remote", *flags])
     assert exc.value.code == 2
     assert "--retriever remote: " in capsys.readouterr().err
+
+
+# --- reply framing, against a server that writes raw bytes ----------------
+
+_BODY = json.dumps({"choices": [{"message": {"content": _TRUE}}]}).encode()
+
+
+def _reply(head=b"HTTP/1.1 200 OK\r\n", body=_BODY):
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+class RawStub:
+    """One connection at a time on a plain socket: it reads each request and
+    answers it with the next (raw reply, close after it) of `replies`, then
+    with a plain 200, and counts connections and requests."""
+
+    def __init__(self, replies=()):
+        self.replies = list(replies)
+        self.opened = self.requests = 0
+        self.heads = []  # each request's head lines
+        self.stopping = False
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        port = self.listener.getsockname()[1]
+        self.endpoint = f"http://127.0.0.1:{port}/v1/chat/completions"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while not self.stopping:
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(10)
+            self.opened += 1
+            with conn, conn.makefile("rb") as reader:
+                try:
+                    self._answer(conn, reader)
+                except OSError:  # the client gave up on a reply it could not read
+                    pass
+
+    def _answer(self, conn, reader):
+        while True:
+            head = [reader.readline()]
+            if not head[0]:
+                return  # the client closed the connection
+            while head[-1] not in (b"\r\n", b""):
+                head.append(reader.readline())
+            length = next(int(line.split(b":")[1]) for line in head
+                          if line.lower().startswith(b"content-length:"))
+            reader.read(length)
+            self.requests += 1
+            self.heads.append(head)
+            reply, close = self.replies.pop(0) if self.replies else (_reply(), False)
+            conn.sendall(reply)
+            if close:
+                return
+
+    def close(self):
+        self.stopping = True
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_stubs(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    monkeypatch.setenv("NETRC", os.devnull)
+    started = []
+
+    def start(replies=()):
+        started.append(RawStub(replies))
+        return started[-1]
+
+    yield start
+    for stub in started:
+        stub.close()
+
+
+def test_a_request_carries_the_headers_http_client_sent(raw_stubs, retrievers):
+    stub = raw_stubs()
+    assert _ask(retrievers(stub.endpoint)).outcome == OUTCOME_VALUE
+    ((request_line, *lines),) = stub.heads
+    assert request_line == b"POST /v1/chat/completions HTTP/1.1\r\n"
+    names = {line.split(b":")[0] for line in lines[:-1]}
+    assert names == {b"Host", b"Accept-Encoding", b"Content-Type", b"Accept",
+                     b"User-Agent", b"Content-Length"}
+    assert b"Accept-Encoding: identity\r\n" in lines
+
+
+def test_a_chunked_reply_keeps_its_connection(raw_stubs, retrievers):
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + b"%x;note=first\r\n%s\r\n" % (10, _BODY[:10])
+               + b"%X\r\n%s\r\n" % (len(_BODY) - 10, _BODY[10:])
+               + b"0\r\nExpires: never\r\n\r\n")
+    stub, sleeps = raw_stubs([(chunked, False)]), []
+    retriever = retrievers(stub.endpoint, sleeps)
+    for _ in range(2):
+        response = _ask(retriever)
+        assert response.outcome == OUTCOME_VALUE and response.value is True
+    assert (stub.opened, stub.requests, sleeps) == (1, 2, [])
+
+
+@pytest.mark.parametrize("reply, close", [
+    # no Content-Length: the body runs to the server's close
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + _BODY, True),
+    # HTTP/1.0 without keep-alive: the client closes once the body is read
+    (_reply(b"HTTP/1.0 200 OK\r\n"), False),
+])
+def test_a_reply_that_ends_its_connection_is_followed_by_a_new_one(reply, close, raw_stubs,
+                                                                    retrievers):
+    stub, sleeps = raw_stubs([(reply, close)]), []
+    retriever = retrievers(stub.endpoint, sleeps, max_retries=0)
+    assert _ask(retriever).outcome == OUTCOME_VALUE
+    assert _ask(retriever).outcome == OUTCOME_VALUE
+    assert (stub.opened, stub.requests, sleeps) == (2, 2, [])
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(),
+    _reply(b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(99))),
+], ids=["100-continue", "100-headers"])
+def test_a_reply_is_read_past_interim_replies_and_up_to_100_headers(reply, raw_stubs, retrievers):
+    stub, sleeps = raw_stubs([(reply, False)]), []
+    retriever = retrievers(stub.endpoint, sleeps, max_retries=0)
+    assert _ask(retriever).outcome == OUTCOME_VALUE
+    assert _ask(retriever).outcome == OUTCOME_VALUE
+    assert (stub.opened, stub.requests, sleeps) == (1, 2, [])
+
+
+def test_a_lower_case_retry_after_is_honoured(raw_stubs, retrievers):
+    limited = _reply(b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 2\r\n", b"")
+    stub, sleeps = raw_stubs([(limited, False)]), []
+    assert _ask(retrievers(stub.endpoint, sleeps)).outcome == OUTCOME_VALUE
+    assert sleeps == [2.0] and stub.requests == 2
+
+
+@pytest.mark.parametrize("reply, message", [
+    (_reply(b"HTTP/1.1 2OO OK\r\n"), "bad status line"),
+    (_reply(b"ICY 200 OK\r\n"), "bad status line"),
+    (_reply(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70 * 1024 + b"\r\n"), "longer than 65536"),
+    (_reply(b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(100))),
+     "more than 100 headers"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n" + _BODY, "ended after"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n", "bad Content-Length"),
+    (b"", "closed before a reply"),
+], ids=["status-digits", "status-protocol", "70KiB-line", "101-headers", "short-body",
+        "chunk-size", "content-length", "no-reply"])
+def test_a_malformed_reply_is_a_retried_transport_failure(reply, message, raw_stubs, retrievers):
+    stub, sleeps = raw_stubs([(reply, True)] * 3), []
+    retriever = retrievers(stub.endpoint, sleeps, max_retries=2, timeout_s=5.0)
+    response = _ask(retriever)
+    assert response.outcome == OUTCOME_ERROR
+    assert response.reason.startswith("transport failure: ") and message in response.reason
+    assert len(sleeps) == 2 and stub.requests == 3 and stub.opened == 3
+
+
+def test_the_remote_path_imports_no_http_client_email_or_ssl():
+    probe = textwrap.dedent("""
+        import sys
+        import cohortqa.cli
+        from cohortqa.transport import HTTPSession
+        HTTPSession("http://127.0.0.1:1/x", 1.0).close()
+        print(sorted(m for m in ("http.client", "urllib.request", "email", "ssl") if m in sys.modules))
+    """)
+    src = str(Path(cohortqa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("environment", [
+    {"http_proxy": "http://lower:1", "HTTP_PROXY": "http://upper:2", "HTTPS_PROXY": "upper:3"},
+    {"http_proxy": "", "HTTP_PROXY": "http://upper:2", "ALL_PROXY": "http://all:4"},
+    {"no_proxy": "*", "http_proxy": "http://lower:1"},
+    {"NO_PROXY": "*", "no_proxy": "example.com"},
+    {"no_proxy": ".Example.com, localhost:8080,,  .,[::1]:8080", "all_proxy": "http://all:4"},
+    {"REQUEST_METHOD": "GET", "HTTP_PROXY": "http://upper:2", "https_proxy": "http://lower:3"},
+    {"REQUEST_METHOD": "POST", "http_proxy": "http://lower:1"},
+])
+def test_the_environment_proxies_are_urllibs(environment, monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    proxies = _environment_proxies()
+    assert proxies == getproxies_environment()
+    for host in ("example.com", "api.example.com:8443", "notexample.com", "EXAMPLE.COM:80",
+                 "localhost", "localhost:8080", "localhost:9090", "127.0.0.1:80",
+                 "[::1]:8080", "[::1]", "host.", "host:"):
+        assert _bypassed(host, proxies) == proxy_bypass_environment(host, proxies), host
+
+
+@given(no_proxy=st.text("ab.:,* 1[]", max_size=16), host=st.text("aAb.:1[]", max_size=12))
+def test_no_proxy_matching_is_urllibs(no_proxy, host):
+    proxies = {"no": no_proxy}
+    assert _bypassed(host, proxies) == proxy_bypass_environment(host, proxies)
+
+
+def test_an_endpoint_that_is_not_ascii_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--cohorts", "fixtures/cohorts.jsonl",
+              "--programs", "fixtures/programs/conjunction_batch.jsonl",
+              "--retriever", "remote", "--endpoint", "http://bücher.example/v1"])
+    assert exc.value.code == 2
+    assert "is not an ASCII http:// or https:// URL" in capsys.readouterr().err
