@@ -409,8 +409,8 @@ class RemoteRetriever:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ):
-        # loaded only by the remote path: the mock needs none of its socket,
-        # netrc and proxy code, about 7 ms to compile and import
+        # loaded only by the remote path: the mock needs none of its socket
+        # code, about 5.5 ms to import from cached bytecode (2 CPUs, Python 3.11)
         from .transport import TRANSPORT_ERRORS, HTTPSession
 
         self.config = config

@@ -6,21 +6,19 @@ connection alive, and at most 8 connections are being opened at once, so
 a pool of threads that starts together does not overflow a server's
 listen backlog. A request goes out in one write. A reply is framed by
 RFC 9112 (Content-Length, chunked, or up to the server's close), and one
-that breaks it raises `ReplyError`. The route is resolved once per session:
+that breaks it raises `ReplyError`.
 
-- the proxy the environment names (`http_proxy`, `https_proxy`, `all_proxy`,
-  bypassed by `no_proxy`, read by urllib's rules): plain HTTP goes to it in
-  absolute form, HTTPS through a CONNECT tunnel;
-- Basic credentials from the endpoint URL, else from `$NETRC` or `~/.netrc`;
-- HTTPS verified against the system CA store (`SSL_CERT_FILE`,
-  `SSL_CERT_DIR`).
+Connections go straight to the endpoint. A session refuses to start when
+the environment would route the endpoint through a proxy (`http_proxy`,
+`https_proxy` or `all_proxy`, not bypassed by `no_proxy`, read by urllib's
+rules). Basic credentials come from the endpoint URL only. HTTPS is verified
+against the system CA store (`SSL_CERT_FILE`, `SSL_CERT_DIR`).
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import netrc
 import os
 import select
 import socket
@@ -65,34 +63,6 @@ class Headers(dict):
         return super().get(name.lower(), default)
 
 
-def _basic(user: str, password: str) -> str:
-    # ISO-8859-1, the historical charset of Basic credentials (RFC 7617 section 2.1)
-    token = base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
-    return f"Basic {token}"
-
-
-def _url_credentials(url) -> tuple[str, str] | None:
-    if url.username is None:
-        return None
-    return unquote(url.username), unquote(url.password or "")
-
-
-def _netrc_credentials(host: str) -> tuple[str, str] | None:
-    """(login, password) for `host` from `$NETRC` or `~/.netrc`, if any; an
-    unreadable or malformed file gives none."""
-    path = os.environ.get("NETRC") or os.path.expanduser("~/.netrc")
-    if not os.path.exists(path):
-        return None
-    try:
-        entry = netrc.netrc(path).authenticators(host)
-    except (netrc.NetrcParseError, OSError):
-        return None
-    if entry is None:
-        return None
-    login, account, password = entry
-    return login or account, password
-
-
 def _environment_proxies() -> dict[str, str]:
     """The `<scheme>_proxy` variables by scheme, as urllib reads them: a
     lower-case name wins and an empty one unsets, and when `REQUEST_METHOD`
@@ -120,11 +90,6 @@ def _bypassed(hostport: str, proxies: dict[str, str]) -> bool:
     hosts = {host, head if colon and not port.strip("0123456789") else host}  # an empty port too
     names = [name.strip().lstrip(".").lower() for name in no_proxy.split(",") if name.strip()]
     return any(h == name or h.endswith("." + name) for h in hosts for name in names)
-
-
-def _head(request_line: str, headers: dict[str, str]) -> bytes:
-    lines = [f"{request_line} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
-    return "\r\n".join(lines).encode("ascii") + b"\r\n"
 
 
 def _line(reader) -> bytes:
@@ -226,6 +191,9 @@ class _Connection:
 class HTTPSession:
     """POST JSON to one endpoint, one kept-alive connection per thread.
 
+    Connections go straight to the endpoint: a proxy that the environment
+    would apply to it is a `ValueError` here, not a silent direct connection.
+
     The request head is built once: each request is that head, its
     Content-Length and the body, sent in one `sendall`. Each connection
     keeps one buffered reader for its replies. Before reusing a connection
@@ -247,8 +215,13 @@ class HTTPSession:
         # the request line and Host go out as they are: an IDN host is given as xn--
         if url.scheme not in ("http", "https") or not url.hostname or not (hostport + target).isascii():
             raise ValueError(f"endpoint {endpoint!r} is not an ASCII http:// or https:// URL")
+        proxies = _environment_proxies()
+        name = url.scheme if url.scheme in proxies else "all"
+        # the variable is named, never its value, which may carry credentials
+        if name in proxies and not _bypassed(hostport, proxies):
+            raise ValueError(f"{name}_proxy is set, and the remote client connects only "
+                             "directly: list the endpoint's host in no_proxy")
         tls = url.scheme == "https"
-        host, port = url.hostname, url.port or (443 if tls else 80)
         headers = {
             "Host": hostport,
             "Accept-Encoding": "identity",
@@ -256,35 +229,19 @@ class HTTPSession:
             "Accept": "application/json",
             "User-Agent": f"cohortqa/{__version__}",
         }
-        credentials = _url_credentials(url) or _netrc_credentials(host)
-        if credentials:
-            headers["Authorization"] = _basic(*credentials)
-
-        self._tunnel = None
-        proxies = _environment_proxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not _bypassed(hostport, proxies):
-            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_url.scheme != "http" or not proxy_url.hostname:
-                raise ValueError(f"proxy {proxy!r}: only http:// proxies are supported")
-            proxy_headers = {}
-            proxy_credentials = _url_credentials(proxy_url)
-            if proxy_credentials:
-                proxy_headers["Proxy-Authorization"] = _basic(*proxy_credentials)
-            if tls:
-                authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-                self._tunnel = _head(f"CONNECT {authority}", {"Host": authority, **proxy_headers})
-            else:
-                target = urlunsplit(("http", hostport, target, "", ""))
-                headers.update(proxy_headers)
-            host, port = proxy_url.hostname, proxy_url.port or 80
-        self._head = _head(f"POST {target}", headers) + b"Content-Length: "
+        if url.username is not None:
+            # ISO-8859-1, the historical charset of Basic credentials (RFC 7617 section 2.1)
+            userinfo = f"{unquote(url.username)}:{unquote(url.password or '')}".encode("latin-1")
+            headers["Authorization"] = "Basic " + base64.b64encode(userinfo).decode("ascii")
+        lines = [f"POST {target} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items()),
+                 "Content-Length: "]
+        self._head = "\r\n".join(lines).encode("ascii")
         self._tls = None
         if tls:
             import ssl
 
             self._tls = ssl.create_default_context(), url.hostname
-        self._address = (host, port)
+        self._address = (url.hostname, url.port or (443 if tls else 80))
         self._timeout_s = timeout_s
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -295,12 +252,6 @@ class HTTPSession:
         sock = socket.create_connection(self._address, self._timeout_s)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._tunnel:
-                sock.sendall(self._tunnel + b"\r\n")
-                with sock.makefile("rb") as reader:
-                    _, status, _ = _read_head(reader)
-                if status // 100 != 2:
-                    raise ReplyError(f"proxy refused the tunnel: {status}")
             if self._tls:
                 context, server_hostname = self._tls
                 sock = context.wrap_socket(sock, server_hostname=server_hostname)
