@@ -8,7 +8,7 @@ import io
 import json
 import sys
 import time
-from contextlib import closing, redirect_stdout
+from contextlib import closing, nullcontext, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
@@ -331,7 +331,7 @@ def cmd_reward(args, parser) -> int:
 
 
 def cmd_sim(args, parser) -> int:
-    from .sim import ToyTrainConfig, run_toy_training
+    from .sim import ToyTrainConfig, UpdateRecord, toy_training_updates
 
     try:
         config = ToyTrainConfig(rollouts_per_update=args.rollouts, updates=args.updates,
@@ -364,13 +364,8 @@ def cmd_sim(args, parser) -> int:
                               line=line, path=args.pool)
     names = list(lines)
     pool = [program for _, _, program in candidates]
-    try:
-        log = run_toy_training(config, pool, cohorts, retriever)
-    except ValueError as exc:  # the policy diverged
-        print(f"sim: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext() as out:
+        if out is not None:
             meta = _base_report(args)
             meta.update(
                 kind="sim-log",
@@ -381,10 +376,40 @@ def cmd_sim(args, parser) -> int:
                 candidates=names,
             )
             out.write(_dump(meta) + "\n")
-            out.writelines(_dump(record.to_json()) + "\n" for record in log.updates)
-    finals = dict(zip(names, log.final_probabilities))
+            encode = _line_encoder(UpdateRecord._fields)
+        try:
+            for record in toy_training_updates(config, pool, cohorts, retriever):
+                if out is not None:
+                    out.write(encode(record))
+        except ValueError as exc:  # the policy diverged
+            print(f"sim: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
+    finals = dict(zip(names, record.probabilities_after))  # config.updates >= 1
     print(_dump({"variant": args.variant, "final_probabilities": finals}))
     return EXIT_OK
+
+
+def _line_encoder(fields: tuple[str, ...]):
+    """A function from a record with these fields, which `to_json` keeps as
+    keys, to `_dump(record.to_json()) + "\n"`. It re-encodes only the fields
+    that differ from the previous record's: those that marshal writes other
+    bytes for, which unlike == tells 0.0 from -0.0 and 1 from 1.0."""
+    import marshal
+
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    heads = [("{" if n == 0 else ", ") + _dump(fields[i]) + ": " for n, i in enumerate(order)]
+    keys: list = [None] * len(order)
+    parts = [""] * len(order) + ["}\n"]
+
+    def encode(record) -> str:
+        for n, i in enumerate(order):
+            key = marshal.dumps(record[i], 2)  # 2: no back-references, which follow refcounts
+            if key != keys[n]:
+                keys[n] = key
+                parts[n] = heads[n] + _dump(record[i])
+        return "".join(parts)
+
+    return encode
 
 
 def cmd_stats(args, parser) -> int:
@@ -544,6 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():  # a command's usage errors name it
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -554,7 +581,7 @@ def main(argv=None) -> int:
     out = io.StringIO()
     try:
         with redirect_stdout(out):
-            code = args.func(args, parser)
+            code = args.func(args, args.parser)
         sys.stdout.write(out.getvalue())  # a closed pipe here is an OSError too
         return code
     except (OSError, SchemaError, ParseError) as exc:

@@ -4,7 +4,8 @@ suppresses shortcut programs that only fit the original question.
 
 The policy holds one float logit per candidate program, a handful of them, so
 the loop needs no array library: plain floats do the vector math, and a seeded
-`random.Random` draws the rollouts."""
+`random.Random` draws the rollouts. Training yields each update's record as it
+is made, so a caller that writes the log as it goes holds none of it."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .data_model import CohortInstance
 from .dsl import Program
@@ -154,20 +155,26 @@ def sample_rollouts(rng: random.Random, probs: Sequence[float], n: int) -> list[
     return [bisect_right(cdf, draw()) for _ in range(n)]
 
 
-def run_toy_training(
+def toy_training_updates(
     config: ToyTrainConfig,
     pool: Sequence[Program],
     cohorts: Sequence[CohortInstance],
     retriever,
     limits: ExecutionLimits = ExecutionLimits(),
-) -> TrainingLog:
-    """Round-robin over cohorts; sample rollouts, reward, normalize, update.
+) -> Iterator[UpdateRecord]:
+    """Round-robin over cohorts; sample rollouts, reward, normalize, update,
+    and yield each update's record as soon as it is made.
 
     Rollouts are drawn by `sample_rollouts` from `random.Random(config.seed)`,
-    so one seed gives the same log on every run and Python version. A step
+    so one seed gives the same records on every run and Python version. A step
     that leaves the probabilities summing away from 1, such as logits
     overflowing at a huge learning rate, raises a ValueError naming that
-    update.
+    update; every record before it has been yielded by then.
+
+    An update whose advantages are all zero (a group of equal rewards) skips
+    the step and keeps the previous probabilities tuple. That is exact: every
+    gradient entry would be +0.0, a logit plus `learning_rate * 0.0` is that
+    logit (they start at +0.0 and never become -0.0), and so is the softmax.
 
     A retriever `error` outcome (the mock's answer to an empty question or to
     a kind that differs from its table's) fails that member's execution as a
@@ -182,11 +189,10 @@ def run_toy_training(
         raise ValueError("empty cohort list")
     rng = random.Random(config.seed)
     logits = [0.0] * len(pool)  # the uniform policy
-    updates: list[UpdateRecord] = []
     # deterministic retriever => rewards are pure in (program, cohort); the
     # outcome itself is not kept once its reward is known
     reward_cache: dict[tuple[int, int], float] = {}
-    probs = softmax(logits)
+    probs = tuple(softmax(logits))
 
     for update_index in range(config.updates):
         cohort_index = update_index % len(cohorts)
@@ -204,19 +210,20 @@ def run_toy_training(
                 reward = reward_cache[key] = mode_reward(outcome, config.mode)
             rewards.append(reward)
         group = group_advantages(rewards)
-        logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
-        probs = softmax(logits)  # the next update's sampling distribution
-        updates.append(
-            UpdateRecord(
-                cohort_index=cohort_index,
-                sampled=tuple(sampled),
-                rewards=group.rewards,
-                advantages=group.advantages,
-                probabilities_after=tuple(probs),
-            )
-        )
+        if any(group.advantages):
+            logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
+            probs = tuple(softmax(logits))  # the next update's sampling distribution
+        yield UpdateRecord(cohort_index, tuple(sampled), group.rewards, group.advantages, probs)
     total = _left_sum(probs)  # no draw checks the last step's distribution
     if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
         raise ValueError(
             f"policy diverged at update {config.updates}: probabilities sum to {total!r}, not 1")
-    return TrainingLog(updates, tuple(probs))
+
+
+def run_toy_training(config: ToyTrainConfig, pool: Sequence[Program],
+                     cohorts: Sequence[CohortInstance], retriever,
+                     limits: ExecutionLimits = ExecutionLimits()) -> TrainingLog:
+    """`toy_training_updates` collected: every record, and the last one's
+    probabilities as the final ones. Raises as the generator does."""
+    updates = list(toy_training_updates(config, pool, cohorts, retriever, limits))
+    return TrainingLog(updates, updates[-1].probabilities_after)

@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import cohortqa.cli
 from cohortqa.cli import main
+from cohortqa.sim import UpdateRecord
 
 FIX = "fixtures"
 
@@ -429,7 +433,11 @@ def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv + inputs)
     assert excinfo.value.code == 2
-    assert argv[1] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert argv[1] in err
+    # under the subcommand's own usage, as argparse's own errors are
+    assert err.startswith(f"usage: cohortqa {argv[0]} ")
+    assert f"\ncohortqa {argv[0]}: error: " in err
 
 
 def _copies_of_fixture_cohort(path, cohort_ids):
@@ -701,6 +709,80 @@ def test_sim_reports_a_diverged_policy(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "sim: policy diverged at update 1: probabilities sum to nan, not 1\n"
+
+
+def test_a_diverged_sim_leaves_the_lines_written_before_it(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    code, out, err = run(capsys, "sim", "--lr=1e308", "--pool", f"{FIX}/pool.jsonl",
+                         "--cohorts", f"{FIX}/sim_cohorts.jsonl", "--facts", f"{FIX}/facts.jsonl",
+                         "--no-timestamp", "--output", str(log))
+    assert (code, out) == (1, "")
+    assert err == "sim: policy diverged at update 1: probabilities sum to nan, not 1\n"
+    # the header and update 0, whose step overflowed the logits; nothing after it
+    header, update = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert json.loads(header)["kind"] == "sim-log"
+    assert update.endswith("\n")
+    record = json.loads(update)
+    assert record["cohort_index"] == 0
+    assert any(record["advantages"])
+    assert len(record["probabilities_after"]) == 2
+    assert all(math.isnan(p) for p in record["probabilities_after"])
+
+
+def _sim_peak_bytes(updates: int, output: Path, capsys) -> int:
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    code = main(["sim", "--pool", f"{FIX}/pool.jsonl", "--cohorts", f"{FIX}/sim_cohorts.jsonl",
+                 "--facts", f"{FIX}/facts.jsonl", "--updates", str(updates), "--no-timestamp",
+                 "--output", str(output)])
+    peak = tracemalloc.get_traced_memory()[1] - before
+    capsys.readouterr()
+    assert code == 0
+    return peak
+
+
+def test_sim_memory_does_not_grow_with_updates(tmp_path, capsys):
+    output = tmp_path / "log.jsonl"
+    tracemalloc.start()
+    try:
+        _sim_peak_bytes(1_000, output, capsys)  # warm-up: imports and first-use caches
+        small = _sim_peak_bytes(1_000, output, capsys)
+        large = _sim_peak_bytes(10_000, output, capsys)
+    finally:
+        tracemalloc.stop()
+    assert len(output.read_text(encoding="utf-8").splitlines()) == 10_001
+    assert large - small < 512 * 1024, (small, large)
+
+
+_NUMBERS = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1, 1.0, 2**64, -(2**70)])
+            | st.floats() | st.integers())
+
+
+@st.composite
+def _update_records(draw):
+    """Records whose every field takes one of a few values, so that fields
+    repeat, change and change back."""
+    def few(values):
+        return st.sampled_from(draw(st.lists(values, min_size=1, max_size=3)))
+
+    numbers = st.lists(_NUMBERS, max_size=4).map(tuple)
+    fields = {name: few(numbers) for name in UpdateRecord._fields}
+    fields["cohort_index"] = few(_NUMBERS)
+    return draw(st.lists(st.builds(UpdateRecord, **fields), max_size=8))
+
+
+def _record(value) -> UpdateRecord:
+    return UpdateRecord(value, (value,), (value,), (value,), (value,))
+
+
+@given(_update_records())
+@example([_record(0.0), _record(-0.0), _record(0.0)])
+@example([_record(1), _record(1.0), _record(True)])
+@example([_record(math.nan), _record(math.nan), _record(math.inf), _record(-math.inf)])
+def test_sim_line_encoder_matches_a_full_encode(records):
+    encode = cohortqa.cli._line_encoder(UpdateRecord._fields)
+    assert "".join(map(encode, records)) == "".join(
+        cohortqa.cli._dump(record.to_json()) + "\n" for record in records)
 
 
 def test_stats_labels_that_are_not_an_object(tmp_path, capsys):

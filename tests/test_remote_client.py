@@ -327,7 +327,7 @@ def test_a_proxy_the_environment_would_apply_is_refused(variable, endpoint, stub
     # argparse's usage lines come first; the error is the one line after them
     assert (exc.value.code, out) == (2, "")
     assert [line for line in err.splitlines() if variable.lower() in line] == err.splitlines()[-1:]
-    assert err.splitlines()[-1].startswith("cohortqa: error: --retriever remote: ")
+    assert err.splitlines()[-1].startswith("cohortqa eval: error: --retriever remote: ")
     assert "secret" not in err and address not in err
     assert (proxy.opened, proxy.seen) == (0, [])
 
