@@ -392,21 +392,33 @@ def cmd_sim(args, parser) -> int:
 def _line_encoder(fields: tuple[str, ...]):
     """A function from a record with these fields, which `to_json` keeps as
     keys, to `_dump(record.to_json()) + "\n"`. It re-encodes only the fields
-    that differ from the previous record's: those that marshal writes other
-    bytes for, which unlike == tells 0.0 from -0.0 and 1 from 1.0."""
+    that differ from the previous record's. A field holding the very object
+    the previous record held is skipped (fields are immutable, so it encodes
+    to the same text). An exact `int` is written by `int.__repr__`, as json
+    writes it. Any other value is re-encoded when marshal writes other bytes
+    for it, which unlike == tells 0.0 from -0.0 and 1 from 1.0."""
     import marshal
 
     order = sorted(range(len(fields)), key=fields.__getitem__)
     heads = [("{" if n == 0 else ", ") + _dump(fields[i]) + ": " for n, i in enumerate(order)]
+    values: list = [object()] * len(order)  # held, so no other object takes their id
     keys: list = [None] * len(order)
     parts = [""] * len(order) + ["}\n"]
 
     def encode(record) -> str:
         for n, i in enumerate(order):
-            key = marshal.dumps(record[i], 2)  # 2: no back-references, which follow refcounts
+            value = record[i]
+            if value is values[n]:
+                continue
+            values[n] = value
+            if type(value) is int:
+                keys[n] = None
+                parts[n] = heads[n] + int.__repr__(value)
+                continue
+            key = marshal.dumps(value, 2)  # 2: no back-references, which follow refcounts
             if key != keys[n]:
                 keys[n] = key
-                parts[n] = heads[n] + _dump(record[i])
+                parts[n] = heads[n] + _dump(value)
         return "".join(parts)
 
     return encode

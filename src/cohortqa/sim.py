@@ -136,21 +136,28 @@ def policy_gradient_step(
     return [x + learning_rate * g for x, g in zip(logits, grad)]
 
 
-def sample_rollouts(rng: random.Random, probs: Sequence[float], n: int) -> list[int]:
-    """Draw `n` indices from the distribution `probs`, one `rng.random()` each.
-
-    The steps are those of numpy's `Generator.choice(len(probs), size=n,
-    p=probs)`: sum `probs` left to right, divide the sums by the last one,
-    and place each uniform with `bisect_right`, so a uniform equal to a
-    cumulative sum goes to the next index and a zero-probability index is
-    never drawn. Unless `probs` sum to 1 within PROBABILITY_SUM_ATOL (a NaN
-    fails too), it raises a ValueError before drawing anything.
-    """
+def _sampling_cdf(probs: Sequence[float]) -> list[float]:
+    """numpy `Generator.choice`'s cumulative distribution: `probs` summed left
+    to right, each sum divided by the last. Unless `probs` sum to 1 within
+    PROBABILITY_SUM_ATOL (a NaN fails too), it raises a ValueError."""
     cdf = list(accumulate(probs))
     total = cdf[-1]
     if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    cdf = [c / total for c in cdf]
+    return [c / total for c in cdf]
+
+
+def sample_rollouts(rng: random.Random, probs: Sequence[float], n: int) -> list[int]:
+    """Draw `n` indices from the distribution `probs`, one `rng.random()` each.
+
+    The steps are those of numpy's `Generator.choice(len(probs), size=n,
+    p=probs)`: build `_sampling_cdf(probs)`, which raises before anything is
+    drawn unless `probs` sum to 1, and place each uniform on it with
+    `bisect_right`, so a uniform equal to a cumulative sum goes to the next
+    index and a zero-probability index is never drawn. The training loop
+    draws the same way, on a CDF it builds once per policy.
+    """
+    cdf = _sampling_cdf(probs)
     draw = rng.random
     return [bisect_right(cdf, draw()) for _ in range(n)]
 
@@ -165,59 +172,66 @@ def toy_training_updates(
     """Round-robin over cohorts; sample rollouts, reward, normalize, update,
     and yield each update's record as soon as it is made.
 
-    Rollouts are drawn by `sample_rollouts` from `random.Random(config.seed)`,
-    so one seed gives the same records on every run and Python version. A step
-    that leaves the probabilities summing away from 1, such as logits
-    overflowing at a huge learning rate, raises a ValueError naming that
-    update; every record before it has been yielded by then.
+    Rollouts are drawn as `sample_rollouts` draws them, from
+    `random.Random(config.seed)`, so one seed gives the same records on every
+    run and Python version. The CDF they are placed on, and its sum-to-1
+    check, is built only when the policy changes: at the start and after each
+    step. A step that leaves the probabilities summing away from 1, such as
+    logits overflowing at a huge learning rate, raises a ValueError naming the
+    next update (or `config.updates` after the last), before it draws; every
+    record before it has been yielded by then.
 
-    An update whose advantages are all zero (a group of equal rewards) skips
-    the step and keeps the previous probabilities tuple. That is exact: every
-    gradient entry would be +0.0, a logit plus `learning_rate * 0.0` is that
-    logit (they start at +0.0 and never become -0.0), and so is the softmax.
+    A group of equal rewards gets one shared tuple of +0.0 advantages, as
+    `group_advantages` would give it, and no step: the previous probabilities
+    tuple is kept. That is exact: every gradient entry would be +0.0, a logit
+    plus `learning_rate * 0.0` is that logit (they start at +0.0 and never
+    become -0.0), and so is the softmax. Rewards are kept in one row per
+    cohort, indexed by program, and logged as the very floats of that row.
 
     A retriever `error` outcome (the mock's answer to an empty question or to
     a kind that differs from its table's) fails that member's execution as a
     program bug does: the member is a `runtime_failure` and not correct (it
     counts as rejected only if an earlier lookup of its run was rejected), and
     the errored call counts toward `n_calls`. The rollout is rewarded from that
-    outcome, and the reward cached, like any other.
+    outcome, and the reward kept, like any other.
     """
     if not pool:
         raise ValueError("empty candidate pool")
     if not cohorts:
         raise ValueError("empty cohort list")
     rng = random.Random(config.seed)
+    draw, n = rng.random, config.rollouts_per_update
     logits = [0.0] * len(pool)  # the uniform policy
-    # deterministic retriever => rewards are pure in (program, cohort); the
-    # outcome itself is not kept once its reward is known
-    reward_cache: dict[tuple[int, int], float] = {}
-    probs = tuple(softmax(logits))
+    probs, cdf = tuple(softmax(logits)), None
+    no_advantage = (0.0,) * n  # shared by every group of equal rewards
+    # deterministic retriever => rewards are pure in (program, cohort): one row
+    # per cohort, indexed by program; the outcome is not kept once rewarded
+    reward_rows: list[list] = [[None] * len(pool) for _ in cohorts]
 
-    for update_index in range(config.updates):
+    for update_index in range(config.updates + 1):
+        if cdf is None:  # the policy changed: the uniform start, or a step
+            try:
+                cdf = _sampling_cdf(probs)
+            except ValueError as exc:
+                raise ValueError(f"policy diverged at update {update_index}: {exc}") from None
+        if update_index == config.updates:
+            return  # the last step's policy is checked, but nothing draws on it
+        sampled = tuple([bisect_right(cdf, draw()) for _ in range(n)])
         cohort_index = update_index % len(cohorts)
-        try:
-            sampled = sample_rollouts(rng, probs, config.rollouts_per_update)
-        except ValueError as exc:
-            # the uniform start always passes, so the step before this draw failed
-            raise ValueError(f"policy diverged at update {update_index}: {exc}") from None
-        rewards = []
+        row = reward_rows[cohort_index]
         for program_index in sampled:
-            key = (program_index, cohort_index)
-            reward = reward_cache.get(key)
-            if reward is None:
+            if row[program_index] is None:
                 outcome = run_cohort(pool[program_index], cohorts[cohort_index], retriever, limits)
-                reward = reward_cache[key] = mode_reward(outcome, config.mode)
-            rewards.append(reward)
-        group = group_advantages(rewards)
-        if any(group.advantages):
-            logits = policy_gradient_step(logits, sampled, group.advantages, config.learning_rate, probs)
-            probs = tuple(softmax(logits))  # the next update's sampling distribution
-        yield UpdateRecord(cohort_index, tuple(sampled), group.rewards, group.advantages, probs)
-    total = _left_sum(probs)  # no draw checks the last step's distribution
-    if not abs(total - 1.0) <= PROBABILITY_SUM_ATOL:
-        raise ValueError(
-            f"policy diverged at update {config.updates}: probabilities sum to {total!r}, not 1")
+                row[program_index] = mode_reward(outcome, config.mode)
+        rewards = tuple([row[i] for i in sampled])
+        if max(rewards) == min(rewards):
+            advantages = no_advantage
+        else:
+            advantages = group_advantages(rewards).advantages
+            if any(advantages):
+                logits = policy_gradient_step(logits, sampled, advantages, config.learning_rate, probs)
+                probs, cdf = tuple(softmax(logits)), None
+        yield UpdateRecord(cohort_index, sampled, rewards, advantages, probs)
 
 
 def run_toy_training(config: ToyTrainConfig, pool: Sequence[Program],

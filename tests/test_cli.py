@@ -785,6 +785,22 @@ def test_sim_line_encoder_matches_a_full_encode(records):
         cohortqa.cli._dump(record.to_json()) + "\n" for record in records)
 
 
+def test_sim_line_encoder_skips_only_what_it_has_written():
+    same, big = (0.0, 1.5), 2**64
+    sequences = [
+        # the same object is skipped; an equal tuple that holds -0.0 is not
+        [_record(0.0)._replace(rewards=same), _record(0.0)._replace(rewards=same),
+         _record(0.0)._replace(rewards=(-0.0, 1.5))],
+        # an exact int, then the same int object, among values equal to it
+        [_record(1.0), _record(1), _record(1), _record(True)],
+        [_record(float(big)), _record(big), _record(big), _record(float(big))],
+    ]
+    for records in sequences:
+        encode = cohortqa.cli._line_encoder(UpdateRecord._fields)
+        assert "".join(map(encode, records)) == "".join(
+            cohortqa.cli._dump(record.to_json()) + "\n" for record in records)
+
+
 def test_stats_labels_that_are_not_an_object(tmp_path, capsys):
     traces, labels = tmp_path / "trace.jsonl", tmp_path / "labels.json"
     traces.write_text('{"q": "Is Amy a documentary film?", "outcome": "value"}\n', encoding="utf-8")

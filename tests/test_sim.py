@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cohortqa.sim
+from cohortqa.cli import _dump
 from cohortqa.dsl import parse_program
 from cohortqa.evaluation import run_cohort
 from cohortqa.reward import CohortExecutionSummary
@@ -300,6 +301,27 @@ def test_training_matches_reference_loop(mode, rollouts, program_pool, sim_cohor
     # exact equality: the log must not move by a single bit
     assert [u.to_json() for u in log.updates] == records
     assert log.final_probabilities == finals
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rollouts, learning_rate, updates", [
+    (5, 0.5, 60),
+    # at these rates about 20 to 45 steps interleave with zero-advantage
+    # updates, so the sampling CDF is rebuilt after each of them
+    (2, 0.02, 120), (5, 0.02, 120), (2, 0.05, 120), (5, 0.05, 120),
+])
+def test_training_log_text_matches_reference_loop(
+        mode, rollouts, learning_rate, updates, program_pool, sim_cohorts, fact_retriever):
+    config = ToyTrainConfig(rollouts_per_update=rollouts, updates=updates,
+                            learning_rate=learning_rate, mode=mode, seed=rollouts)
+    pool = _pool(program_pool)
+    log = run_toy_training(config, pool, sim_cohorts, fact_retriever)
+    records, finals = _reference_training(config, pool, sim_cohorts, fact_retriever)
+    # as text, which unlike == tells 0.0 from -0.0 and 1 from 1.0
+    assert [_dump(u.to_json()) for u in log.updates] == [_dump(r) for r in records]
+    assert _dump(list(log.final_probabilities)) == _dump(list(finals))
+    if updates == 120:
+        assert 0 < sum(any(u.advantages) for u in log.updates) < updates
 
 
 def test_run_cohort_once_per_program_cohort_pair(program_pool, sim_cohorts, fact_retriever, monkeypatch):
