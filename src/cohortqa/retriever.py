@@ -9,6 +9,7 @@ import json
 import math
 import random
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -360,6 +361,8 @@ def parse_llm_reply(raw: str, kind: ValueKind) -> RetrieveResponse:
 
 # the longest wait before a retry, from backoff or from a Retry-After header
 MAX_RETRY_WAIT_S = 30.0
+# the ceiling of the first retry's backoff, doubled for each retry after it
+BACKOFF_BASE_S = 0.5
 
 
 @dataclass
@@ -369,14 +372,14 @@ class RemoteRetrieverConfig:
     temperature: float = 0.7
     timeout_s: float = 30.0
     max_retries: int = 3
-    backoff_base_s: float = 0.5
 
     def __post_init__(self):
         # NaN or infinity would not survive as JSON
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be a finite number >= 0")
-        if not self.timeout_s > 0:
-            raise ValueError("timeout must be > 0")
+        # a longer timeout overflows the socket's own clock
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s")
         if self.max_retries < 0:
             raise ValueError("max retries must be >= 0")
 
@@ -391,14 +394,14 @@ class RemoteRetriever:
     at once, so a pool of 32 does not overflow a server's listen backlog.
     `session` replaces that client with any object whose
     `post(payload) -> (status, headers, body)` sends the JSON payload and
-    returns the reply: the status code, a mapping of headers from which
-    `get("Retry-After")` reads that header (`transport.Headers` matches its
-    name in any case), and the raw body.
+    returns the reply: the status code, a mapping of headers keyed by
+    lower-cased name (`get("retry-after")` reads the one header used), and
+    the raw body. An `OSError` from `post` is a transport failure.
 
     A transport failure, a 429 or a 5xx reply is retried up to `max_retries`
     times. Before each retry it waits the reply's Retry-After seconds, or
     else a full-jitter exponential backoff drawn from `rng`: uniform in
-    [0, backoff_base_s * 2 ** n] before retry n + 1. Either wait is capped at
+    [0, BACKOFF_BASE_S * 2 ** n] before retry n + 1. Either wait is capped at
     MAX_RETRY_WAIT_S, and `sleep` does the waiting.
     """
 
@@ -411,14 +414,13 @@ class RemoteRetriever:
     ):
         # loaded only by the remote path: the mock needs none of its socket
         # code, about 5.5 ms to import from cached bytecode (2 CPUs, Python 3.11)
-        from .transport import TRANSPORT_ERRORS, HTTPSession
+        from .transport import HTTPSession
 
         self.config = config
         self._owns_session = session is None
         if session is None:
             session = HTTPSession(config.endpoint, config.timeout_s)
         self._session = session
-        self._transport_errors = TRANSPORT_ERRORS
         self._sleep = sleep
         self._rng = random.Random() if rng is None else rng
 
@@ -429,12 +431,13 @@ class RemoteRetriever:
             self._session.close()
 
     def _wait_s(self, retry: int, headers) -> float:
-        retry_after = headers.get("Retry-After", "").strip()
+        retry_after = headers.get("retry-after", "").strip()
         # only the delay-seconds form (RFC 9110 section 10.2.3); an HTTP-date
         # leaves the wait to the backoff
         if retry_after.isascii() and retry_after.isdigit():
             return min(MAX_RETRY_WAIT_S, float(retry_after))
-        ceiling = min(MAX_RETRY_WAIT_S, self.config.backoff_base_s * 2 ** retry)
+        # the exponent is bounded: from retry 1024 on, 2 ** retry overflows a float
+        ceiling = min(MAX_RETRY_WAIT_S, BACKOFF_BASE_S * 2 ** min(retry, 64))
         return self._rng.uniform(0, ceiling)
 
     def retrieve(self, request: RetrieveRequest) -> RetrieveResponse:
@@ -452,7 +455,7 @@ class RemoteRetriever:
                 self._sleep(wait_s)
             try:
                 status, headers, body = self._session.post(payload)
-            except self._transport_errors as exc:
+            except OSError as exc:
                 last_reason = f"transport failure: {exc}"
                 wait_s = self._wait_s(attempt, {})
                 continue

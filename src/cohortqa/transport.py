@@ -8,11 +8,12 @@ listen backlog. A request goes out in one write. A reply is framed by
 RFC 9112 (Content-Length, chunked, or up to the server's close), and one
 that breaks it raises `ReplyError`.
 
-Connections go straight to the endpoint. A session refuses to start when
-the environment would route the endpoint through a proxy (`http_proxy`,
-`https_proxy` or `all_proxy`, not bypassed by `no_proxy`, read by urllib's
-rules). Basic credentials come from the endpoint URL only. HTTPS is verified
-against the system CA store (`SSL_CERT_FILE`, `SSL_CERT_DIR`).
+The headers come back as a dict keyed by lower-cased name. Connections go
+straight to the endpoint. A session refuses to start when the environment
+would route the endpoint through a proxy (`http_proxy`, `https_proxy` or
+`all_proxy`, not bypassed by `no_proxy`), as `urllib.request` reads those
+variables. Basic credentials come from the endpoint URL only. HTTPS is
+verified against the system CA store (`SSL_CERT_FILE`, `SSL_CERT_DIR`).
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ import threading
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from . import __version__
-
-# what a failed exchange raises
-TRANSPORT_ERRORS = (OSError,)
 
 # how many of a session's connections may be between connect and their first
 # reply at once. Python's socketserver and http.server listen with a backlog
@@ -47,49 +45,6 @@ _MAX_HEADERS = 100
 
 class ReplyError(OSError):
     """A reply that breaks HTTP/1.1's message syntax (RFC 9112)."""
-
-
-class Headers(dict):
-    """A reply's header fields by lower-cased name; lookups ignore case.
-    A repeated field's values are joined with ", "."""
-
-    def __getitem__(self, name: str) -> str:
-        return super().__getitem__(name.lower())
-
-    def __contains__(self, name) -> bool:
-        return super().__contains__(name.lower())
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
-
-
-def _environment_proxies() -> dict[str, str]:
-    """The `<scheme>_proxy` variables by scheme, as urllib reads them: a
-    lower-case name wins and an empty one unsets, and when `REQUEST_METHOD`
-    is set (a CGI request) `HTTP_PROXY` in any other case is ignored, because
-    a client's `Proxy:` header can set it."""
-    proxies = {name.lower()[:-6]: value for name, value in os.environ.items()
-               if value and name.lower().endswith("_proxy")}
-    if "REQUEST_METHOD" in os.environ:
-        proxies.pop("http", None)
-    for name, value in os.environ.items():
-        if name.endswith("_proxy"):
-            proxies[name[:-6].lower()] = value
-    return {scheme: value for scheme, value in proxies.items() if value}
-
-
-def _bypassed(hostport: str, proxies: dict[str, str]) -> bool:
-    """True if `proxies["no"]` exempts `hostport`, as urllib decides it: it
-    is `*`, or one of its comma-separated entries, less leading dots, is the
-    host (with or without its port) or a domain suffix of it."""
-    no_proxy = proxies.get("no", "")
-    if no_proxy == "*":
-        return True
-    host = hostport.lower()
-    head, colon, port = host.rpartition(":")
-    hosts = {host, head if colon and not port.strip("0123456789") else host}  # an empty port too
-    names = [name.strip().lstrip(".").lower() for name in no_proxy.split(",") if name.strip()]
-    return any(h == name or h.endswith("." + name) for h in hosts for name in names)
 
 
 def _line(reader) -> bytes:
@@ -192,7 +147,8 @@ class HTTPSession:
     """POST JSON to one endpoint, one kept-alive connection per thread.
 
     Connections go straight to the endpoint: a proxy that the environment
-    would apply to it is a `ValueError` here, not a silent direct connection.
+    would apply to it, by `urllib.request`'s own rules, is a `ValueError`
+    here, not a silent direct connection.
 
     The request head is built once: each request is that head, its
     Content-Length and the body, sent in one `sendall`. Each connection
@@ -215,12 +171,18 @@ class HTTPSession:
         # the request line and Host go out as they are: an IDN host is given as xn--
         if url.scheme not in ("http", "https") or not url.hostname or not (hostport + target).isascii():
             raise ValueError(f"endpoint {endpoint!r} is not an ASCII http:// or https:// URL")
-        proxies = _environment_proxies()
-        name = url.scheme if url.scheme in proxies else "all"
-        # the variable is named, never its value, which may carry credentials
-        if name in proxies and not _bypassed(hostport, proxies):
-            raise ValueError(f"{name}_proxy is set, and the remote client connects only "
-                             "directly: list the endpoint's host in no_proxy")
+        # urllib.request takes about 20 ms to import (http.client, email, ssl),
+        # so only an environment that may name a proxy pays for it
+        if any(value and name.lower().endswith("_proxy") and name.lower() != "no_proxy"
+               for name, value in os.environ.items()):
+            from urllib.request import getproxies_environment, proxy_bypass_environment
+
+            proxies = getproxies_environment()
+            name = url.scheme if url.scheme in proxies else "all"
+            # the variable is named, never its value, which may carry credentials
+            if name in proxies and not proxy_bypass_environment(hostport, proxies):
+                raise ValueError(f"{name}_proxy is set, and the remote client connects only "
+                                 "directly: list the endpoint's host in no_proxy")
         tls = url.scheme == "https"
         headers = {
             "Host": hostport,
@@ -260,9 +222,9 @@ class HTTPSession:
             raise
         conn.sock, conn.reader = sock, sock.makefile("rb")
 
-    def post(self, payload) -> tuple[int, Headers, bytes]:
+    def post(self, payload) -> tuple[int, dict[str, str], bytes]:
         """POST `payload` as JSON to the session's endpoint; the reply's
-        status, headers and body."""
+        status, headers (by lower-cased name) and body."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = _Connection()
@@ -288,7 +250,7 @@ class HTTPSession:
                 self._opening.release()
         if not keep:
             conn.close()
-        return status, Headers(fields), body
+        return status, fields, body
 
     def close(self) -> None:
         with self._lock:

@@ -14,6 +14,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
 
 import pytest
@@ -30,7 +31,7 @@ from cohortqa.retriever import (
     RemoteRetrieverConfig,
     RetrieveRequest,
 )
-from cohortqa.transport import TRANSPORT_ERRORS, HTTPSession, _bypassed, _environment_proxies
+from cohortqa.transport import HTTPSession
 
 _TRUE = '```json\n{"answer": true}\n```'
 _PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD")
@@ -269,7 +270,7 @@ def _posts_until_answered(count):
                 try:
                     lookups.statuses.append(post())
                     break
-                except TRANSPORT_ERRORS as exc:
+                except OSError as exc:
                     lookups.failures.append(exc)
 
     lookups.statuses, lookups.failures = [], []
@@ -343,6 +344,41 @@ def test_no_proxy_lets_a_proxied_environment_go_direct(stubs, retrievers, monkey
     assert "Proxy-Authorization" not in headers
 
 
+@pytest.mark.parametrize("environment", [
+    {"http_proxy": "http://lower:1", "HTTP_PROXY": "http://upper:2", "HTTPS_PROXY": "upper:3"},
+    {"http_proxy": "", "HTTP_PROXY": "http://upper:2"},
+    {"https_proxy": "", "HTTPS_PROXY": "http://upper:3", "ALL_PROXY": "http://all:4"},
+    {"REQUEST_METHOD": "GET", "HTTP_PROXY": "http://upper:2", "https_proxy": "http://lower:3"},
+    {"REQUEST_METHOD": "POST", "http_proxy": "http://lower:1"},
+    {"ALL_PROXY": "http://all:4"},
+    {"no_proxy": "*", "http_proxy": "http://lower:1", "https_proxy": "http://lower:3"},
+    {"NO_PROXY": "*", "no_proxy": "example.com", "all_proxy": "http://all:4"},
+    {"no_proxy": ".Example.com, localhost:8080,,  .", "all_proxy": "http://all:4"},
+    {"FOO_PROXY": "http://foo:5"},
+], ids=["lower-case-wins", "empty-lower-case-unsets", "empty-lower-case-falls-to-all",
+        "cgi-ignores-HTTP_PROXY", "cgi-keeps-http_proxy", "all-fallback", "no_proxy-star",
+        "lower-case-no_proxy-wins", "no_proxy-suffixes", "stray-FOO_PROXY"])
+@pytest.mark.parametrize("endpoint", [
+    "http://api.example.com:8443/v1", "https://example.com/v1", "http://localhost:8080/v1",
+    "https://notexample.com/v1",
+])
+def test_the_session_refuses_a_proxy_exactly_when_urllib_would_apply_one(environment, endpoint,
+                                                                         monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    url = urlsplit(endpoint)
+    proxies = getproxies_environment()
+    name = url.scheme if url.scheme in proxies else "all"
+    if name in proxies and not proxy_bypass_environment(url.netloc, proxies):
+        with pytest.raises(ValueError, match=f"^{name}_proxy is set"):
+            HTTPSession(endpoint, 1.0)
+    else:
+        HTTPSession(endpoint, 1.0).close()
+
+
 def test_url_credentials_give_basic_auth(stubs, retrievers):
     stub = stubs()
     endpoint = stub.endpoint.replace("http://", "http://bob:pw@")
@@ -382,15 +418,15 @@ def test_429_is_retried_after_its_retry_after_seconds(stubs, retrievers):
 def test_backoff_is_capped_exponential_with_full_jitter(stubs, retrievers):
     # an HTTP-date Retry-After is not honoured: the backoff decides
     replies = [(503, {}), (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
-               (500, {}), (503, {}), (502, {})]
+               (500, {}), (503, {}), (500, {}), (503, {}), (500, {}), (502, {})]
     stub, sleeps = stubs(replies), []
-    retriever = retrievers(stub.endpoint, sleeps, max_retries=4, backoff_base_s=8.0)
+    retriever = retrievers(stub.endpoint, sleeps, max_retries=7)
     response = _ask(retriever)
     assert response.outcome == OUTCOME_ERROR and response.reason == "server error 502"
     rng = random.Random(7)
-    ceilings = (8.0, 16.0, MAX_RETRY_WAIT_S, MAX_RETRY_WAIT_S)
+    ceilings = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, MAX_RETRY_WAIT_S)
     assert sleeps == [rng.uniform(0, ceiling) for ceiling in ceilings]
-    assert len(stub.seen) == 5
+    assert len(stub.seen) == 8
 
 
 def test_rate_limit_that_persists_is_an_error(stubs, retrievers):
@@ -419,6 +455,7 @@ def test_connection_refused_is_a_retried_transport_failure(stubs, retrievers):
     ["--endpoint", "http://127.0.0.1/v1", "--temperature", "-1"],
     ["--endpoint", "http://127.0.0.1/v1", "--timeout-ms", "0"],
     ["--endpoint", "http://127.0.0.1/v1", "--max-retries", "-1"],
+    ["--endpoint", "http://127.0.0.1/v1", "--timeout-ms", "100000000000000000000"],
 ])
 def test_bad_remote_settings_are_usage_errors(flags, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -427,6 +464,11 @@ def test_bad_remote_settings_are_usage_errors(flags, capsys):
               "--retriever", "remote", *flags])
     assert exc.value.code == 2
     assert "--retriever remote: " in capsys.readouterr().err
+
+
+def test_the_longest_timeout_a_socket_takes_is_accepted(stubs, retrievers):
+    stub = stubs()
+    assert _ask(retrievers(stub.endpoint, timeout_s=threading.TIMEOUT_MAX)).outcome == OUTCOME_VALUE
 
 
 # --- reply framing, against a server that writes raw bytes ----------------
@@ -604,33 +646,27 @@ def test_the_remote_path_imports_no_http_client_email_or_ssl():
     assert result.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("environment", [
-    {"http_proxy": "http://lower:1", "HTTP_PROXY": "http://upper:2", "HTTPS_PROXY": "upper:3"},
-    {"http_proxy": "", "HTTP_PROXY": "http://upper:2", "ALL_PROXY": "http://all:4"},
-    {"no_proxy": "*", "http_proxy": "http://lower:1"},
-    {"NO_PROXY": "*", "no_proxy": "example.com"},
-    {"no_proxy": ".Example.com, localhost:8080,,  .,[::1]:8080", "all_proxy": "http://all:4"},
-    {"REQUEST_METHOD": "GET", "HTTP_PROXY": "http://upper:2", "https_proxy": "http://lower:3"},
-    {"REQUEST_METHOD": "POST", "http_proxy": "http://lower:1"},
-])
-def test_the_environment_proxies_are_urllibs(environment, monkeypatch):
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
-            monkeypatch.delenv(name)
-    for name, value in environment.items():
-        monkeypatch.setenv(name, value)
-    proxies = _environment_proxies()
-    assert proxies == getproxies_environment()
-    for host in ("example.com", "api.example.com:8443", "notexample.com", "EXAMPLE.COM:80",
-                 "localhost", "localhost:8080", "localhost:9090", "127.0.0.1:80",
-                 "[::1]:8080", "[::1]", "host.", "host:"):
-        assert _bypassed(host, proxies) == proxy_bypass_environment(host, proxies), host
-
-
-@given(no_proxy=st.text("ab.:,* 1[]", max_size=16), host=st.text("aAb.:1[]", max_size=12))
-def test_no_proxy_matching_is_urllibs(no_proxy, host):
-    proxies = {"no": no_proxy}
-    assert _bypassed(host, proxies) == proxy_bypass_environment(host, proxies)
+def test_a_no_proxy_environment_loads_no_urllib(stubs):
+    # perfbench sets only NO_PROXY and no_proxy; neither may cost the import
+    stub = stubs()
+    probe = textwrap.dedent("""
+        import sys
+        import cohortqa.cli
+        from cohortqa.transport import HTTPSession
+        session = HTTPSession(sys.argv[1], 5.0)
+        print(session.post({})[0])
+        session.close()
+        modules = ("urllib.request", "http.client", "email", "ssl")
+        print(sorted(m for m in modules if m in sys.modules))
+    """)
+    src = str(Path(cohortqa.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy") and name != "REQUEST_METHOD"}
+    env["NO_PROXY"] = env["no_proxy"] = "127.0.0.1,localhost"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", probe, stub.endpoint], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "200\n[]\n"
 
 
 def test_an_endpoint_that_is_not_ascii_is_a_usage_error(capsys):

@@ -10,6 +10,7 @@ from cohortqa.data_model import SchemaError
 from cohortqa.dsl import ValueKind
 from cohortqa.retriever import (
     COMPLEX,
+    MAX_RETRY_WAIT_S,
     OUTCOME_ERROR,
     OUTCOME_REJECTED,
     OUTCOME_VALUE,
@@ -310,29 +311,44 @@ def test_remote_retriever_retries_5xx_then_succeeds():
         ConnectionError("boom"),
         _response(200, _reply('```json\n{"answer": "idk"}\n```')),
     ])
-    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3, backoff_base_s=0.0)
-    response = RemoteRetriever(config, session=session).retrieve(
+    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3)
+    sleeps = []
+    response = RemoteRetriever(config, session=session, sleep=sleeps.append).retrieve(
         RetrieveRequest("Hard question?", ValueKind.BOOL)
     )
     assert response.outcome == OUTCOME_REJECTED
-    assert len(session.requests) == 3
+    assert len(session.requests) == 3 and len(sleeps) == 2
 
 
 def test_remote_retriever_gives_up_with_error():
-    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=2, backoff_base_s=0.0)
+    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=2)
     # max_retries counts retries after the first attempt: 3 calls total
     session = _FakeSession([_response(503), _response(503), _response(503)])
-    response = RemoteRetriever(config, session=session).retrieve(
+    sleeps = []
+    response = RemoteRetriever(config, session=session, sleep=sleeps.append).retrieve(
         RetrieveRequest("q?", ValueKind.BOOL)
     )
     assert response.outcome == OUTCOME_ERROR
+    assert len(session.requests) == 3 and len(sleeps) == 2
+
+
+def test_remote_retriever_backoff_stays_capped_past_a_thousand_retries():
+    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=1100)
+    session = _FakeSession([_response(503)] * 1101)
+    sleeps = []
+    response = RemoteRetriever(config, session=session, sleep=sleeps.append).retrieve(
+        RetrieveRequest("q?", ValueKind.BOOL)
+    )
+    assert response.outcome == OUTCOME_ERROR and response.reason == "server error 503"
+    assert len(sleeps) == 1100 and max(sleeps) <= MAX_RETRY_WAIT_S
 
 
 def test_remote_retriever_4xx_is_immediate_error():
-    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3, backoff_base_s=0.0)
+    config = RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever", max_retries=3)
     session = _FakeSession([_response(400)])
-    response = RemoteRetriever(config, session=session).retrieve(
+    sleeps = []
+    response = RemoteRetriever(config, session=session, sleep=sleeps.append).retrieve(
         RetrieveRequest("q?", ValueKind.BOOL)
     )
     assert response.outcome == OUTCOME_ERROR
-    assert len(session.requests) == 1
+    assert len(session.requests) == 1 and sleeps == []
