@@ -299,7 +299,7 @@ def _accuracy_table(accuracy: dict, criterion: str) -> str:
 
 
 def _rejection_table(rejection: dict) -> str:
-    """Render the JSON form of a `RejectionStats`."""
+    """Render the `rejection` object that `rejection_stats` returns."""
     lines = [f"{'Category':<40}{'Rejection Rate(%)':>18}"]
     for category, entry in [*rejection["per_category"].items(), ("Overall", rejection["overall"])]:
         lines.append(f"{category:<40}{entry['rate'] * 100:>18.1f}")
@@ -350,15 +350,19 @@ def cmd_sim(args, parser) -> int:
                 f"cohort {cohort.cohort_id!r} header {cohort.template.function_header!r} "
                 f"does not match the first cohort's header {first.function_header!r}", path=args.cohorts)
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
-    candidates = list(read_jsonl(args.pool, lambda obj, line: (
-        line, obj, parse_program(obj["source"], first.function_header)), ("source",)))
+
+    def candidate(obj: dict, line: int) -> tuple:
+        _typed(obj["source"], str, "source", "source")
+        if "name" in obj:
+            _typed(obj["name"], str, "name", "name")
+        return line, obj, parse_program(obj["source"], first.function_header)
+
+    candidates = list(read_jsonl(args.pool, candidate, ("source",)))
     if not candidates:
         raise SchemaError("no candidate programs", path=args.pool)
     lines: dict[str, int] = {}  # candidate name -> its line, in pool order
     for i, (line, obj, _) in enumerate(candidates):
         name = obj.get("name", f"candidate-{i}")
-        if not isinstance(name, str):
-            raise SchemaError(f"name must be a string, not {name!r}", "name", line, args.pool)
         if lines.setdefault(name, line) != line:
             raise SchemaError(f"candidate name {name!r} repeats line {lines[name]}",
                               line=line, path=args.pool)
@@ -447,11 +451,10 @@ def cmd_stats(args, parser) -> int:
 
     events = [event for path in args.traces for event in read_jsonl(path, retrieve_event)]
     try:
-        stats = rejection_stats(events, label)
+        data = rejection_stats(events, label)
     except ValueError as exc:
         print(f"stats: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    data = stats.to_json()
     print(_rejection_table(data))
     if args.output:
         report = _base_report(args)

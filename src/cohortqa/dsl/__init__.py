@@ -22,9 +22,6 @@ from .nodes import (
     Unary,
     ValueKind,
     VarRef,
-    statement_exprs,
-    walk_exprs,
-    walk_statements,
 )
 from .parser import ForbiddenConstruct, ParseError, SignatureMismatch, parse_header, parse_program
 
@@ -34,6 +31,5 @@ __all__ = [
     "Interp", "Literal", "MIN_RETRIEVES", "ParseError", "Program",
     "RetrieveCall", "Return", "SignatureMismatch", "Stmt", "Unary", "ValueKind", "VarRef",
     "check_program", "count_static_retrieves", "format_header", "format_program",
-    "parse_header", "parse_program", "statement_exprs", "walk_exprs",
-    "walk_statements",
+    "parse_header", "parse_program",
 ]

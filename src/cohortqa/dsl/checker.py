@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
-from .nodes import (
-    If,
-    Program,
-    RetrieveCall,
-    Return,
-    Stmt,
-    VarRef,
-    statement_exprs,
-    walk_exprs,
-    walk_statements,
-)
+from .nodes import If, Interp, Program, RetrieveCall, Return, Stmt, VarRef
 
 MIN_RETRIEVES = 2
 
@@ -32,27 +22,28 @@ class CheckReport:
         return self.all_params_used and self.meets_min_retrieves and self.every_path_returns
 
 
-def _exprs(program: Program):
-    """Yield every expression in the program, statement by statement."""
-    for stmt in walk_statements(program.body):
-        for root in statement_exprs(stmt):
-            yield from walk_exprs(root)
+def _nodes(program: Program):
+    """Yield every node of the program, found through each node's dataclass
+    fields and the tuples nested in them, so a new node class needs no walker."""
+    stack: list = [program]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif is_dataclass(item):
+            yield item
+            stack.extend(getattr(item, field.name) for field in fields(item))
 
 
 def count_static_retrieves(program: Program) -> int:
     """Number of retrieve(...) call sites in the AST."""
-    return sum(isinstance(expr, RetrieveCall) for expr in _exprs(program))
+    return sum(isinstance(node, RetrieveCall) for node in _nodes(program))
 
 
 def _used_names(program: Program) -> set[str]:
-    """Names read anywhere, parameters and locals alike."""
-    used: set[str] = set()
-    for expr in _exprs(program):
-        if isinstance(expr, VarRef):
-            used.add(expr.name)
-        elif isinstance(expr, RetrieveCall):
-            used.update(expr.question.interpolated_names())
-    return used
+    """Names read anywhere, parameters and locals alike: a name in an
+    expression or in a retrieve question's {name} slot."""
+    return {node.name for node in _nodes(program) if isinstance(node, (VarRef, Interp))}
 
 
 def _body_returns(body: tuple[Stmt, ...]) -> bool:

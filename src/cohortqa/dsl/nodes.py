@@ -147,41 +147,3 @@ class Program:
     def param_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.params)
 
-
-def walk_exprs(expr: Expr):
-    """Yield expr and every sub-expression."""
-    yield expr
-    if isinstance(expr, Unary):
-        yield from walk_exprs(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk_exprs(expr.left)
-        yield from walk_exprs(expr.right)
-    elif isinstance(expr, Index):
-        yield from walk_exprs(expr.base)
-        yield from walk_exprs(expr.index)
-    elif isinstance(expr, BuiltinCall):
-        for arg in expr.args:
-            yield from walk_exprs(arg)
-
-
-def walk_statements(body: tuple[Stmt, ...]):
-    """Yield every statement, depth first."""
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, If):
-            for _, branch_body in stmt.branches:
-                yield from walk_statements(branch_body)
-            yield from walk_statements(stmt.orelse)
-        elif isinstance(stmt, ForEach):
-            yield from walk_statements(stmt.body)
-
-
-def statement_exprs(stmt: Stmt):
-    """Yield the expressions directly attached to one statement."""
-    if isinstance(stmt, (Assign, Append, Return)):
-        yield stmt.value
-    elif isinstance(stmt, If):
-        for cond, _ in stmt.branches:
-            yield cond
-    elif isinstance(stmt, ForEach):
-        yield stmt.iterable

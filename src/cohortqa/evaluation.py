@@ -47,12 +47,6 @@ class MemberOutcome(NamedTuple):
     correct: bool
     rejected: bool
 
-    @classmethod
-    def from_result(cls, result: ExecutionResult, gold_index: int) -> "MemberOutcome":
-        if result.status == STATUS_ANSWERED:
-            return cls(result.answer, result.answer == gold_index, result.was_rejected)
-        return cls(None, False, result.was_rejected)
-
 
 @dataclass(frozen=True)
 class CohortOutcome:
@@ -92,7 +86,8 @@ def _cohort_outcome(cohort_id: str, members: tuple[MemberOutcome, ...], n_calls:
 
 def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:
     members = tuple(
-        MemberOutcome.from_result(result, member.gold_index)
+        MemberOutcome(result.answer, result.answer == member.gold_index, result.was_rejected)
+        if result.status == STATUS_ANSWERED else MemberOutcome(None, False, result.was_rejected)
         for result, member in zip(results, cohort.members)
     )
     return _cohort_outcome(cohort.cohort_id, members, results[0].dynamic_retrieve_count,
@@ -322,28 +317,13 @@ def evaluate(
     return rows, aggregate(scored) if scored else None
 
 
-@dataclass(frozen=True)
-class RejectionStats:
-    per_category: Mapping[str, tuple[int, int]]  # category -> (rejected, total)
-
-    @property
-    def overall(self) -> tuple[int, int]:
-        rejected = sum(r for r, _ in self.per_category.values())
-        total = sum(t for _, t in self.per_category.values())
-        return rejected, total
-
-    def to_json(self) -> dict:
-        out = {
-            category: {"rejected": r, "total": t, "rate": r / t}
-            for category, (r, t) in sorted(self.per_category.items())
-        }
-        rejected, total = self.overall
-        return {"per_category": out,
-                "overall": {"rejected": rejected, "total": total, "rate": rejected / total}}
+def _rate(rejected: int, total: int) -> dict:
+    return {"rejected": rejected, "total": total, "rate": rejected / total}
 
 
-def rejection_stats(traces: Iterable[dict], label: Callable[[str], str]) -> RejectionStats:
-    """Per-category rejection rates over the JSON form of retrieve events."""
+def rejection_stats(traces: Iterable[dict], label: Callable[[str], str]) -> dict:
+    """Per-category and overall rejection rates over the JSON form of
+    retrieve events: the `rejection` object of a `stats` report."""
     counts: dict[str, list[int]] = {}
     for event in traces:
         bucket = counts.setdefault(label(event["q"]), [0, 0])
@@ -351,4 +331,6 @@ def rejection_stats(traces: Iterable[dict], label: Callable[[str], str]) -> Reje
         bucket[0] += event["outcome"] == OUTCOME_REJECTED
     if not counts:
         raise ValueError("no events")
-    return RejectionStats(per_category={c: (r, t) for c, (r, t) in counts.items()})
+    overall = _rate(sum(r for r, _ in counts.values()), sum(t for _, t in counts.values()))
+    return {"per_category": {c: _rate(r, t) for c, (r, t) in sorted(counts.items())},
+            "overall": overall}

@@ -126,28 +126,23 @@ class FactTable:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FactTable":
         """Load a fact file in one read, so a pipe loads as a regular file
-        does; a question may repeat only with the same kind and value."""
-        return cls(_checked_facts(path))
+        does. Each question's last line is kept, as `dict` keeps it; a repeat
+        with another kind, value or JSON type is a SchemaError."""
+        first_lines: dict[str, int] = {}  # normalized question -> its first line
+        table: dict[str, FactEntry] = {}
+        for line, question, key, entry in read_jsonl(path, _fact, _FACT_KEYS):
+            first_line = first_lines.setdefault(key, line)
+            if first_line != line:
+                kept = table[key]
+                if kept != entry or _json_type(kept.value) != _json_type(entry.value):
+                    raise SchemaError(f"question {question!r} repeats line {first_line} with "
+                                      f"{_described(entry)}; line {first_line} has {_described(kept)}",
+                                      line=line, path=path)
+            table[key] = entry
+        return cls(table)
 
 
 _FACT_KEYS = ("q", "kind", "value")
-
-
-def _checked_facts(path: str | Path) -> dict[str, FactEntry]:
-    """The facts of a file, each question's last line kept, as `dict` keeps
-    it; a repeat with another kind, value or JSON type is a SchemaError."""
-    first_lines: dict[str, int] = {}  # normalized question -> its first line
-    table: dict[str, FactEntry] = {}
-    for line, question, key, entry in read_jsonl(path, _fact, _FACT_KEYS):
-        first_line = first_lines.setdefault(key, line)
-        if first_line != line:
-            kept = table[key]
-            if kept != entry or _json_type(kept.value) != _json_type(entry.value):
-                raise SchemaError(f"question {question!r} repeats line {first_line} with "
-                                  f"{_described(entry)}; line {first_line} has {_described(kept)}",
-                                  line=line, path=path)
-        table[key] = entry
-    return table
 
 
 def _described(entry: FactEntry) -> str:

@@ -147,21 +147,6 @@ def _sampling_cdf(probs: Sequence[float]) -> list[float]:
     return [c / total for c in cdf]
 
 
-def sample_rollouts(rng: random.Random, probs: Sequence[float], n: int) -> list[int]:
-    """Draw `n` indices from the distribution `probs`, one `rng.random()` each.
-
-    The steps are those of numpy's `Generator.choice(len(probs), size=n,
-    p=probs)`: build `_sampling_cdf(probs)`, which raises before anything is
-    drawn unless `probs` sum to 1, and place each uniform on it with
-    `bisect_right`, so a uniform equal to a cumulative sum goes to the next
-    index and a zero-probability index is never drawn. The training loop
-    draws the same way, on a CDF it builds once per policy.
-    """
-    cdf = _sampling_cdf(probs)
-    draw = rng.random
-    return [bisect_right(cdf, draw()) for _ in range(n)]
-
-
 def toy_training_updates(
     config: ToyTrainConfig,
     pool: Sequence[Program],
@@ -172,11 +157,11 @@ def toy_training_updates(
     """Round-robin over cohorts; sample rollouts, reward, normalize, update,
     and yield each update's record as soon as it is made.
 
-    Rollouts are drawn as `sample_rollouts` draws them, from
-    `random.Random(config.seed)`, so one seed gives the same records on every
-    run and Python version. The CDF they are placed on, and its sum-to-1
-    check, is built only when the policy changes: at the start and after each
-    step. A step that leaves the probabilities summing away from 1, such as
+    Each rollout is one `random()` of `random.Random(config.seed)`, placed
+    with `bisect_right` on `_sampling_cdf(probs)` as numpy's `Generator.choice`
+    places it, so one seed gives the same records on every run and Python
+    version. That CDF, and its sum-to-1 check, is built only when the policy
+    changes: at the start and after each step. A step that leaves the probabilities summing away from 1, such as
     logits overflowing at a huge learning rate, raises a ValueError naming the
     next update (or `config.updates` after the last), before it draws; every
     record before it has been yielded by then.

@@ -1111,6 +1111,17 @@ def test_sim_pool_names_must_be_distinct_strings(names, error, tmp_path, capsys)
     assert err == f"sim: {pool}: {error}\n"
 
 
+@pytest.mark.parametrize("source", [5, ["return 0"]], ids=["int", "list"])
+def test_sim_pool_source_must_be_a_string(source, tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    first = _first_line(f"{FIX}/pool.jsonl")
+    pool.write_text(f"{first}\n{_with(first, 'source', source)}\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim", "--pool", str(pool), "--cohorts", f"{FIX}/sim_cohorts.jsonl",
+                         "--facts", f"{FIX}/facts.jsonl", "--updates", "3")
+    assert (code, out) == (1, "")
+    assert err == f"sim: {pool}: line 2: source must be a string, not {source!r} (at source)\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_a_repeated_sample_names_both_lines(command, tmp_path, capsys):
     conjunction = json.loads(_first_line(f"{FIX}/programs/conjunction_batch.jsonl"))

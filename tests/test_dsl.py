@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 
 from cohortqa.dsl import (
@@ -403,6 +405,78 @@ def test_exemplars_pass_checks(exemplar_corpus):
         assert report.every_path_returns, record["name"]
         if record["name"] not in unused_allowed:
             assert report.all_params_used, record["name"]
+
+
+def _ast_check(source: str) -> tuple[int, tuple[str, ...]]:
+    """(retrieve calls, unused parameters) read off CPython's own `ast` of
+    `source`. A parameter is used when the function body loads its name;
+    called names, retrieve's kind argument and `.append` receivers are not
+    loads of a value."""
+    function = next(node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef))
+    nodes = [node for stmt in function.body for node in ast.walk(stmt)]
+    not_read, retrieves = set(), 0
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            func = node.func
+            not_read.add(func.value if isinstance(func, ast.Attribute) else func)
+            if isinstance(func, ast.Name) and func.id == "retrieve":
+                retrieves += 1
+                not_read.add(node.args[1])
+    loaded = {node.id for node in nodes
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node not in not_read}
+    return retrieves, tuple(arg.arg for arg in function.args.args if arg.arg not in loaded)
+
+
+# Each puts a parameter, or a retrieve, under one node field and nowhere else,
+# so a walk that skips that field disagrees with CPython's ast.
+_FIELD_SOURCES = [
+    # Index.index: a name and a retrieve; Index.base: a retrieve
+    'def answer(X: str, N: int) -> int:\n'
+    '    films = retrieve(f"Which films star {X}?", list)\n'
+    '    first = films[N]\n'
+    '    ranked = retrieve("Which films won?", list)[retrieve(f"Rank of {X}?", int)]\n'
+    '    return 0\n',
+    # Unary.operand: unary minus on a name, and not on a retrieve
+    'def answer(X: str, N: int) -> int:\n'
+    '    known = not retrieve(f"Is {X} known?", bool)\n'
+    '    return -N\n',
+    # an elif chain: If.branches' conditions and bodies, and If.orelse
+    'def answer(X: str, Y: str, Z: str) -> int:\n'
+    '    if retrieve(f"Is {X} old?", bool):\n'
+    '        return 0\n'
+    '    elif retrieve(f"Is {Y} old?", bool):\n'
+    '        return len(retrieve(f"Who knows {Z}?", list))\n'
+    '    else:\n'
+    '        return len(retrieve("Which are old?", list))\n',
+    # a conditional assignment: Assign.value in both arms, Y only in orelse
+    'def answer(X: str, Y: str) -> int:\n'
+    '    pick = X if retrieve("Is it left?", bool) else Y\n'
+    '    return 0\n',
+    # a list literal of strings; ForEach.iterable and body; Append.value
+    'def answer(X: str, Y: str) -> int:\n'
+    '    names = ["left", "right"]\n'
+    '    for film in retrieve(f"Films of {X}?", list):\n'
+    '        names.append(retrieve(f"Is {film} by {Y}?", str))\n'
+    '    return 0\n',
+    # BuiltinCall.args; Binary.left and Binary.right, each with a name only there
+    'def answer(X: str, Y: str) -> int:\n'
+    '    n = len(set(retrieve(f"Films of {X}?", list)))\n'
+    '    return any(retrieve("Which won?", list)) and (Y == "b")\n',
+    'def answer(X: str, Y: str) -> int:\n'
+    '    n = retrieve("Which won?", int) - 1\n'
+    '    return 1 + (X == retrieve("Who won?", str))\n',
+]
+
+
+def test_checker_agrees_with_cpython_ast(exemplar_corpus):
+    from fuzz_gen import HEADER as FUZZ_HEADER, random_valid_source
+
+    cases = [(random_valid_source(seed), FUZZ_HEADER) for seed in range(1000)]
+    cases += [(record["source"], record["header"]) for record in exemplar_corpus]
+    cases += [(source, source.split(":\n", 1)[0]) for source in _FIELD_SOURCES]
+    for source, header in cases:
+        report = check_program(parse_program(source, header))
+        assert (report.static_retrieve_count, report.unused_params) == _ast_check(source), source
 
 
 def test_fuzz_roundtrip_sample():

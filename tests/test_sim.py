@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
@@ -22,8 +23,8 @@ from cohortqa.sim import (
     ToyTrainConfig,
     mode_reward,
     policy_gradient_step,
+    _sampling_cdf,
     run_toy_training,
-    sample_rollouts,
     softmax,
 )
 
@@ -127,6 +128,14 @@ def test_policy_gradient_same_with_and_without_probs():
         assert without == with_probs
 
 
+def _draw(rng, probs, n):
+    """`n` rollouts drawn as the training loop draws them: the CDF first,
+    which raises before anything is drawn, then one `random()` per rollout
+    placed on it with `bisect_right`."""
+    cdf = _sampling_cdf(probs)
+    return [bisect_right(cdf, rng.random()) for _ in range(n)]
+
+
 class _FixedUniforms(np.random.Generator):
     """A numpy generator whose `random(n)` returns the next n of the given
     uniforms; `choice` calls it too, so it places them as numpy does."""
@@ -153,7 +162,7 @@ def test_sampler_draws_what_generator_choice_draws():
         underflowed += 0.0 in probs
         ours, twin = random.Random(seed), random.Random(seed)
         expected = _FixedUniforms(iter(twin.random, None)).choice(size, size=n, p=probs).tolist()
-        assert sample_rollouts(ours, probs, n) == expected
+        assert _draw(ours, probs, n) == expected
         assert ours.getstate() == twin.getstate()
     assert underflowed > 0
 
@@ -170,7 +179,7 @@ def test_sampler_places_uniforms_as_generator_choice_does(probs, uniforms):
     expected = _FixedUniforms(uniforms).choice(len(probs), size=n, p=probs).tolist()
     # a stand-in for random.Random whose random() returns the same uniforms
     draws = SimpleNamespace(random=iter(uniforms).__next__)
-    assert sample_rollouts(draws, probs, n) == expected
+    assert _draw(draws, probs, n) == expected
 
 
 @pytest.mark.parametrize("probs", [[0.5, float("nan")], [0.5, 0.4], [0.6, 0.6]])
@@ -178,7 +187,7 @@ def test_sampler_rejects_probabilities_that_do_not_sum_to_one(probs):
     rng = random.Random(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match="not 1"):
-        sample_rollouts(rng, probs, 3)
+        _draw(rng, probs, 3)
     assert rng.getstate() == state  # nothing drawn
 
 
