@@ -13,7 +13,6 @@ from .nodes import (
     FormatString,
     If,
     Index,
-    Interp,
     Literal,
     Program,
     RetrieveCall,
@@ -28,7 +27,7 @@ from .parser import ForbiddenConstruct, ParseError, SignatureMismatch, parse_hea
 __all__ = [
     "KINDS", "Append", "Assign", "Binary", "BuiltinCall", "CheckReport",
     "Expr", "ForEach", "ForbiddenConstruct", "FormatString", "If", "Index",
-    "Interp", "Literal", "MIN_RETRIEVES", "ParseError", "Program",
+    "Literal", "MIN_RETRIEVES", "ParseError", "Program",
     "RetrieveCall", "Return", "SignatureMismatch", "Stmt", "Unary", "ValueKind", "VarRef",
     "check_program", "count_static_retrieves", "format_header", "format_program",
     "parse_header", "parse_program",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 
-from .nodes import If, Interp, Program, RetrieveCall, Return, Stmt, VarRef
+from .nodes import If, Program, RetrieveCall, Return, Stmt, VarRef
 
 MIN_RETRIEVES = 2
 
@@ -43,7 +43,7 @@ def count_static_retrieves(program: Program) -> int:
 def _used_names(program: Program) -> set[str]:
     """Names read anywhere, parameters and locals alike: a name in an
     expression or in a retrieve question's {name} slot."""
-    return {node.name for node in _nodes(program) if isinstance(node, (VarRef, Interp))}
+    return {node.name for node in _nodes(program) if isinstance(node, VarRef)}
 
 
 def _body_returns(body: tuple[Stmt, ...]) -> bool:

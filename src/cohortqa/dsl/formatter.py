@@ -12,7 +12,6 @@ from .nodes import (
     FormatString,
     If,
     Index,
-    Interp,
     Literal,
     Program,
     RetrieveCall,
@@ -113,7 +112,7 @@ def _format_question(question: FormatString) -> str:
         return _quote("".join(question.segments))  # type: ignore[arg-type]
     parts = []
     for seg in question.segments:
-        if isinstance(seg, Interp):
+        if isinstance(seg, VarRef):
             parts.append("{" + seg.name + "}")
         else:
             parts.append(_escape(seg).replace("{", "{{").replace("}", "}}"))

@@ -2,7 +2,7 @@
 
 Nodes hold only what the interpreter, the checker and the formatter read:
 no source locations (a ``ParseError`` carries its own) and one name node,
-``VarRef``, for parameters and locals alike.
+``VarRef``, for parameters, locals and a retrieve question's {name} slots.
 """
 
 from __future__ import annotations
@@ -42,20 +42,13 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class Interp:
-    """A {name} interpolation slot inside a retrieve question."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class FormatString:
-    """Alternating literal text and named interpolations."""
+    """Alternating literal text and {name} slots, each slot a `VarRef`."""
 
-    segments: tuple[Union[str, Interp], ...]
+    segments: tuple[Union[str, VarRef], ...]
 
     def interpolated_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.segments if isinstance(s, Interp))
+        return tuple(s.name for s in self.segments if isinstance(s, VarRef))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .nodes import (
     FormatString,
     If,
     Index,
-    Interp,
     Literal,
     Program,
     RetrieveCall,
@@ -390,7 +389,7 @@ class _Converter:
                 name = part.value.id
                 if name not in self.scope:
                     raise ParseError(f"unbound name {name!r}", _span(part))
-                segments.append(Interp(name))
+                segments.append(VarRef(name))
             else:
                 raise ForbiddenConstruct("unsupported f-string part", _span(node))
         # CPython joins adjacent literal runs and drops empty ones, so equal

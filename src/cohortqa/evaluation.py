@@ -15,7 +15,7 @@ from .data_model import CohortInstance, SchemaError
 from .dsl import ParseError, Program, format_header, parse_program
 from .retriever import OUTCOME_REJECTED
 from .reward import CohortExecutionSummary
-from .runtime import STATUS_ANSWERED, ExecutionLimits, ExecutionResult, RetrieveEvent, execute
+from .runtime import ExecutionLimits, ExecutionResult, RetrieveEvent, execute
 
 STRICT = "strict"
 LENIENT = "lenient"
@@ -87,7 +87,6 @@ def _cohort_outcome(cohort_id: str, members: tuple[MemberOutcome, ...], n_calls:
 def _outcome(cohort: CohortInstance, results: Sequence[ExecutionResult]) -> CohortOutcome:
     members = tuple(
         MemberOutcome(result.answer, result.answer == member.gold_index, result.was_rejected)
-        if result.status == STATUS_ANSWERED else MemberOutcome(None, False, result.was_rejected)
         for result, member in zip(results, cohort.members)
     )
     return _cohort_outcome(cohort.cohort_id, members, results[0].dynamic_retrieve_count,
@@ -187,7 +186,7 @@ def vote(samples: Sequence[CohortOutcome], cohort: CohortInstance) -> CohortOutc
         members.append(
             MemberOutcome(
                 answered_index=consensus,
-                correct=consensus is not None and consensus == member.gold_index,
+                correct=consensus == member.gold_index,
                 rejected=any(s.members[index].rejected for s in samples),
             )
         )

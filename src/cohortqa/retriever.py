@@ -9,6 +9,7 @@ import json
 import math
 import random
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -56,8 +57,9 @@ def _value_conforms(kind: ValueKind, value) -> bool:
         return isinstance(value, bool)
     if kind is ValueKind.INT:
         return isinstance(value, int) and not isinstance(value, bool)
-    if kind is ValueKind.FLOAT:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is ValueKind.FLOAT:  # an int is read as a float, so it must fit one
+        return isinstance(value, float) or (
+            _value_conforms(ValueKind.INT, value) and abs(value) <= sys.float_info.max)
     if kind is ValueKind.STR:
         return isinstance(value, str)
     if kind is ValueKind.LIST:
@@ -197,6 +199,8 @@ class MockRetriever:
             )
         if kind is ValueKind.LIST:
             value = list(value)
+        elif kind is ValueKind.FLOAT:  # a fact file may write 1 for 1.0, as a reply may
+            value = float(value)
         return RetrieveResponse(OUTCOME_VALUE, value)
 
     def close(self) -> None:

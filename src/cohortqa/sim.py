@@ -17,17 +17,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
-from .data_model import CohortInstance
+from .data_model import COHORT_SIZE, CohortInstance
 from .dsl import Program
 from .evaluation import CohortOutcome, run_cohort
 from .reward import (
     VARIANT_COHORT,
     VARIANT_NORMAL,
+    CohortExecutionSummary,
     _left_sum,
     cohort_reward,
     group_advantages,
-    rejection_penalty,
-    retrieval_reward,
 )
 from .runtime import ExecutionLimits
 
@@ -36,8 +35,6 @@ MODE_NORMAL = VARIANT_NORMAL
 MODE_ORG = "org"  # reward computed from the original member only
 
 MODES = (MODE_COHORT, MODE_NORMAL, MODE_ORG)
-
-ORG_ACCURACY_SCALE = 1.2  # full-cohort accuracy mass granted on one question
 
 # how far probabilities may sum from 1 (numpy's Generator.choice tolerance)
 PROBABILITY_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
@@ -100,15 +97,16 @@ class TrainingLog(NamedTuple):
 
 
 def mode_reward(outcome: CohortOutcome, mode: str) -> float:
-    """Scalar reward for one rollout under the given reward mode."""
+    """Scalar reward for one rollout, summed and rounded by `cohort_reward`.
+    `org` scores the original member alone as the `normal` variant: its
+    correctness counts for all six members, and its rejection once."""
     summary = outcome.summary
-    if mode in (MODE_COHORT, MODE_NORMAL):
-        return cohort_reward(summary, variant=mode).total
     if mode == MODE_ORG:
         original = outcome.members[0]
-        r_acc = ORG_ACCURACY_SCALE if original.correct else 0.0
-        return r_acc + retrieval_reward(summary.n_calls) + rejection_penalty(int(original.rejected))
-    raise ValueError(f"unknown mode {mode!r}")
+        n_correct = COHORT_SIZE if original.correct else 0
+        summary = CohortExecutionSummary(n_correct, summary.n_calls, int(original.rejected))
+        mode = VARIANT_NORMAL
+    return cohort_reward(summary, variant=mode).total
 
 
 def policy_gradient_step(
@@ -213,9 +211,8 @@ def toy_training_updates(
             advantages = no_advantage
         else:
             advantages = group_advantages(rewards).advantages
-            if any(advantages):
-                logits = policy_gradient_step(logits, sampled, advantages, config.learning_rate, probs)
-                probs, cdf = tuple(softmax(logits)), None
+            logits = policy_gradient_step(logits, sampled, advantages, config.learning_rate, probs)
+            probs, cdf = tuple(softmax(logits)), None
         yield UpdateRecord(cohort_index, sampled, rewards, advantages, probs)
 
 

@@ -41,6 +41,13 @@ _OPENING_PERMITS = 8
 # the limits http.client named
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# a reply's body may be up to 4 MiB. It carries one lookup's answer: a list
+# of 1024 items (the default --max-list-len) of 1 KiB of text each is 1 MiB,
+# which leaves room for its JSON escaping, and eval's 32 threads holding one
+# body each stay near 128 MiB. A longer Content-Length or chunk size is a
+# ReplyError before any of it is read, and so is a body that runs on past it.
+_MAX_BODY = 4 * 1024 * 1024
+_TOO_LONG = f"reply body longer than {_MAX_BODY} bytes"
 
 
 class ReplyError(OSError):
@@ -85,14 +92,26 @@ def _read_head(reader) -> tuple[bytes, int, dict[str, str]]:
             return parts[0], int(parts[1]), fields
 
 
+def _body_size(digits: str, base: int, before: int = 0) -> int:
+    """A Content-Length (base 10) or chunk size (base 16), refused if it
+    takes a body with `before` bytes read so far past _MAX_BODY."""
+    digits = digits.lstrip("0") or "0"
+    # a longer digit string is too large in either base, and int() would
+    # refuse a decimal one past 4300 digits
+    if len(digits) > len(str(_MAX_BODY)) or before + int(digits, base) > _MAX_BODY:
+        raise ReplyError(_TOO_LONG)
+    return int(digits, base)
+
+
 def _read_chunked(reader) -> bytes:
-    chunks = []
+    chunks, total = [], 0
     while True:
         line = _line(reader)
         size = line.partition(b";")[0].strip()  # a chunk extension is ignored
         if not size or size.strip(b"0123456789abcdefABCDEF"):
             raise ReplyError(f"bad chunk size line {line[:80]!r}")
-        size = int(size, 16)
+        size = _body_size(size.decode("ascii"), 16, total)
+        total += size
         if not size:
             _read_fields(reader)  # the trailer
             return b"".join(chunks)
@@ -111,12 +130,16 @@ def _read_body(reader, version: bytes, status: int, fields: dict[str, str]) -> t
     if encoding is not None and encoding.rpartition(",")[2].strip().lower() == "chunked":
         return _read_chunked(reader), keep
     if encoding is not None or length is None:  # delimited by the server's close
-        return reader.read(), False
+        body = reader.read(_MAX_BODY + 1)
+        if len(body) > _MAX_BODY:
+            raise ReplyError(_TOO_LONG)
+        return body, False
     if not (length.isascii() and length.isdigit()):
         raise ReplyError(f"bad Content-Length {length!r}")
-    body = reader.read(int(length))
-    if len(body) < int(length):
-        raise ReplyError(f"reply body ended after {len(body)} of {length} bytes")
+    size = _body_size(length, 10)
+    body = reader.read(size)
+    if len(body) < size:
+        raise ReplyError(f"reply body ended after {len(body)} of {size} bytes")
     return body, keep
 
 

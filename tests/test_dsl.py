@@ -9,7 +9,6 @@ from cohortqa.dsl import (
     ForbiddenConstruct,
     FormatString,
     If,
-    Interp,
     Literal,
     ParseError,
     Program,
@@ -153,8 +152,8 @@ def test_negative_number_literals_fold():
 
 
 @pytest.mark.parametrize("question, segments, rendered, answer", [
-    ('f"Is " f"{X}" "" f" real" "?"', ("Is ", Interp("X"), " real?"), "Is a real?", 1),
-    ('f"{X}" f"" "{{" f"{{"', (Interp("X"), "{{{"), "a{{{", 0),  # no fact: rejected
+    ('f"Is " f"{X}" "" f" real" "?"', ("Is ", VarRef("X"), " real?"), "Is a real?", 1),
+    ('f"{X}" f"" "{{" f"{{"', (VarRef("X"), "{{{"), "a{{{", 0),  # no fact: rejected
     # the mock's answer to an empty question is an error, which ends the run
     ('f""', ("",), "", None),
     ('f"" ""', ("",), "", None),

@@ -31,7 +31,7 @@ from cohortqa.retriever import (
     RemoteRetrieverConfig,
     RetrieveRequest,
 )
-from cohortqa.transport import HTTPSession
+from cohortqa.transport import _MAX_BODY, HTTPSession
 
 _TRUE = '```json\n{"answer": true}\n```'
 _PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD")
@@ -617,8 +617,19 @@ def test_a_lower_case_retry_after_is_honoured(raw_stubs, retrievers):
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
     (b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n", "bad Content-Length"),
     (b"", "closed before a reply"),
+    # lengths past the body cap are refused before a read: none allocates
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n" + _BODY, "longer than"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"f" * 20 + b"\r\n" + _BODY,
+     "longer than"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n" + _BODY, "longer than"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (_MAX_BODY + 1, _BODY),
+     f"longer than {_MAX_BODY} bytes"),
+    # a first chunk is read, and the second would take the total past the cap
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n{\r\n%x\r\n%s"
+     % (_MAX_BODY, _BODY[1:]), f"longer than {_MAX_BODY} bytes"),
 ], ids=["status-digits", "status-protocol", "70KiB-line", "101-headers", "short-body",
-        "chunk-size", "content-length", "no-reply"])
+        "chunk-size", "content-length", "no-reply", "overflowing-length", "overflowing-chunk-size",
+        "5000-digit-length", "cap-plus-one-length", "cap-plus-one-chunked-total"])
 def test_a_malformed_reply_is_a_retried_transport_failure(reply, message, raw_stubs, retrievers):
     stub, sleeps = raw_stubs([(reply, True)] * 3), []
     retriever = retrievers(stub.endpoint, sleeps, max_retries=2, timeout_s=5.0)
@@ -626,6 +637,29 @@ def test_a_malformed_reply_is_a_retried_transport_failure(reply, message, raw_st
     assert response.outcome == OUTCOME_ERROR
     assert response.reason.startswith("transport failure: ") and message in response.reason
     assert len(sleeps) == 2 and stub.requests == 3 and stub.opened == 3
+
+
+def test_a_reply_that_runs_past_the_body_cap_to_its_close_is_refused(raw_stubs, retrievers):
+    unframed = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + b" " * _MAX_BODY + _BODY
+    stub, sleeps = raw_stubs([(unframed, True)]), []
+    response = _ask(retrievers(stub.endpoint, sleeps, max_retries=0, timeout_s=5.0))
+    assert response.outcome == OUTCOME_ERROR
+    assert response.reason == f"transport failure: reply body longer than {_MAX_BODY} bytes"
+    assert _ask(retrievers(stub.endpoint, sleeps, max_retries=0)).outcome == OUTCOME_VALUE
+
+
+def test_eval_exits_3_on_an_overflowing_content_length(raw_stubs, tmp_path, capsys):
+    overflowing = b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n" + _BODY
+    stub = raw_stubs([(overflowing, True)] * 6)
+    report = tmp_path / "report.json"
+    code = main(["eval", "--cohorts", "fixtures/cohorts.jsonl",
+                 "--programs", "fixtures/programs/conjunction_batch.jsonl",
+                 "--retriever", "remote", "--endpoint", stub.endpoint, "--jobs", "1",
+                 "--max-retries", "0", "--no-timestamp", "--output", str(report)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    (row,) = json.loads(report.read_text())["cohorts"]
+    assert row["backend_errors"] == 6
 
 
 def test_the_remote_path_imports_no_http_client_email_or_ssl():

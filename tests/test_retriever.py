@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cohortqa.data_model import SchemaError
-from cohortqa.dsl import ValueKind
+from cohortqa.dsl import ValueKind, parse_program
 from cohortqa.retriever import (
     COMPLEX,
     MAX_RETRY_WAIT_S,
@@ -28,6 +28,7 @@ from cohortqa.retriever import (
     normalize_question,
     parse_llm_reply,
 )
+from cohortqa.runtime import execute
 
 
 def test_normalize_question():
@@ -271,6 +272,16 @@ def test_fact_table_rejects_wrongly_typed_value(tmp_path):
         FactTable.from_jsonl(path)
 
 
+def test_an_int_too_large_for_a_float_is_no_float_fact_or_answer(tmp_path):
+    huge = "1" + "0" * 400  # float() of it overflows
+    path = tmp_path / "facts.jsonl"
+    path.write_text('{"q": "x", "kind": "float", "value": %s}\n' % huge, encoding="utf-8")
+    with pytest.raises(SchemaError, match="does not conform to kind float"):
+        FactTable.from_jsonl(path)
+    response = parse_llm_reply('```json\n{"answer": %s}\n```' % huge, ValueKind.FLOAT)
+    assert response.outcome == OUTCOME_ERROR and response.reason.startswith("kind mismatch")
+
+
 # --- remote client --------------------------------------------------------
 
 def _response(status, payload=None):
@@ -352,3 +363,38 @@ def test_remote_retriever_4xx_is_immediate_error():
     )
     assert response.outcome == OUTCOME_ERROR
     assert len(session.requests) == 1 and sleeps == []
+
+
+class _TableSession:
+    """A chat-completion backend that answers each lookup from a fact table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def post(self, payload):
+        question = payload["messages"][-1]["content"].rpartition(" (")[0]
+        entry = self.table.lookup(question)
+        content = "```json\n" + json.dumps({"answer": entry.value if entry else "idk"}) + "\n```"
+        return _response(200, _reply(content))
+
+
+@pytest.mark.parametrize("body", [
+    "    return retrieve(f\"How tall is {X}?\", float)",
+    "    height = retrieve(f\"How tall is {X}?\", float)\n"
+    "    if retrieve(f\"Is {height} a height?\", bool):\n        return 1\n    return 0",
+], ids=["returned", "interpolated"])
+def test_a_float_fact_written_as_an_int_is_a_float_on_both_backends(body, tmp_path):
+    path = tmp_path / "facts.jsonl"
+    path.write_text(json.dumps({"q": "How tall is the tower?", "kind": "float", "value": 1}) + "\n"
+                    + json.dumps({"q": "Is 1.0 a height?", "kind": "bool", "value": True}) + "\n",
+                    encoding="utf-8")
+    table = FactTable.from_jsonl(path)
+    header = "def answer(X: str) -> int"
+    program = parse_program(f"{header}:\n{body}\n", header)
+    remote = RemoteRetriever(RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever"),
+                             session=_TableSession(table))
+    mock_result = execute(program, {"X": "the tower"}, MockRetriever(table))
+    remote_result = execute(program, {"X": "the tower"}, remote)
+    # repr tells the float 1.0 from the int 1, which compare equal
+    assert repr(mock_result) == repr(remote_result)
+    assert mock_result.trace[0].value == 1.0 and type(mock_result.trace[0].value) is float

@@ -199,6 +199,12 @@ def test_equality_works_on_strings():
     assert execute(p, {"X": "a", "Y": "b"}, EMPTY).answer == 0
 
 
+def test_inequality_works_on_strings():
+    p = prog("if X != Y:\n    return 1\nreturn 0")
+    assert execute(p, {"X": "a", "Y": "a"}, EMPTY).answer == 0
+    assert execute(p, {"X": "a", "Y": "b"}, EMPTY).answer == 1
+
+
 def test_loop_append_unique_count():
     retr = table({
         "list cities of x": ("list", ["Lyon", "Nice", "Lyon"]),
@@ -223,6 +229,18 @@ def test_index_out_of_bounds_fails():
     p = prog('xs = retrieve("List things", list)\nfirst = xs[0]\nreturn 0')
     result = execute(p, {"X": "a", "Y": "b"}, retr)
     assert result.status == STATUS_FAILURE
+
+
+def test_a_bool_list_index_is_a_failure():
+    # CPython reads xs[True] as xs[1]; the harness refuses it
+    result = execute(prog("xs = [3, 4]\nreturn xs[True]"), {"X": "a", "Y": "b"}, EMPTY)
+    assert (result.status, result.failure_reason) == (STATUS_FAILURE,
+                                                      "list index is not an integer: True")
+
+
+def test_the_most_negative_index_is_the_first_item():
+    result = execute(prog("xs = [5, 6, 7]\nreturn xs[-len(xs)]"), {"X": "a", "Y": "b"}, EMPTY)
+    assert (result.status, result.answer) == (STATUS_ANSWERED, 5)
 
 
 def test_all_requires_bool_elements():
@@ -276,6 +294,26 @@ def test_list_length_limit():
     result = execute(p, {"X": "a", "Y": "b"}, retr, limits)
     assert result.status == STATUS_LIMIT
     assert result.limit_which == LIMIT_LIST
+
+
+@pytest.mark.parametrize("appends, expected", [
+    (2, (STATUS_ANSWERED, 2, "")),
+    (3, (STATUS_LIMIT, None, LIMIT_LIST)),
+])
+def test_appends_reach_exactly_max_list_len(appends, expected):
+    p = prog("xs = []\n" + "xs.append(1)\n" * appends + "return len(xs)")
+    limits = ExecutionLimits(max_list_len=2)
+    result = execute(p, {"X": "a", "Y": "b"}, EMPTY, limits)
+    assert (result.status, result.answer, result.limit_which) == expected
+
+
+def test_a_statement_on_the_last_step_runs():
+    # steps: the assignment (1), its literal (2), the append (3), which may
+    # run at max_steps=3 and so trips the list limit first
+    p = prog("xs = [1]\nxs.append(2)\nreturn 0")
+    limits = ExecutionLimits(max_steps=3, max_list_len=1)
+    result = execute(p, {"X": "a", "Y": "b"}, EMPTY, limits)
+    assert (result.status, result.limit_which) == (STATUS_LIMIT, LIMIT_LIST)
 
 
 def test_nonpositive_limits_rejected():

@@ -9,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cohortqa.reward
 import cohortqa.sim
 from cohortqa.cli import _dump
 from cohortqa.dsl import parse_program
-from cohortqa.evaluation import run_cohort
+from cohortqa.evaluation import CohortOutcome, MemberOutcome, run_cohort
 from cohortqa.reward import CohortExecutionSummary
 from cohortqa.runtime import STATUS_FAILURE, execute
 from cohortqa.sim import (
@@ -214,6 +215,28 @@ def test_mode_rewards_on_fixture(program_pool, sim_cohorts, fact_retriever):
     assert mode_reward(shortcut, MODE_COHORT) == pytest.approx(0.0 - 0.6)
     assert mode_reward(shortcut, MODE_NORMAL) == pytest.approx(0.2 - 0.6)
     assert mode_reward(shortcut, MODE_ORG) == pytest.approx(1.2 - 0.6)
+
+
+@pytest.mark.parametrize("term, expected", [
+    ("retrieval_reward", {MODE_COHORT: 1.0 - 0.1, MODE_NORMAL: 1.0 - 0.1, MODE_ORG: -0.1}),
+    ("rejection_penalty", {MODE_COHORT: 1.0 + 0.6, MODE_NORMAL: 1.0 + 0.6, MODE_ORG: 0.6}),
+])
+def test_every_mode_reads_each_term_through_the_reward_module(term, expected, monkeypatch,
+                                                              program_pool, sim_cohorts,
+                                                              fact_retriever):
+    # the seam an ablation zeroes a term through: one patch moves all three modes
+    generalizer = run_cohort(dict(program_pool)["generalizer"], sim_cohorts[0], fact_retriever)
+    monkeypatch.setattr(cohortqa.reward, term, lambda count: 0.0)
+    assert {mode: mode_reward(generalizer, mode) for mode in MODES} == pytest.approx(expected)
+
+
+def test_the_original_only_reward_is_rounded_as_the_others_are():
+    members = (MemberOutcome(1, True, False),) + (MemberOutcome(0, False, False),) * 5
+    outcome = CohortOutcome("c", members, CohortExecutionSummary(1, 2, 0))
+    # 1.2 + 0.6 summed raw is 1.7999999999999998
+    assert mode_reward(outcome, MODE_ORG) == 1.8
+    with pytest.raises(ValueError, match="unknown variant 'ppo'"):
+        mode_reward(outcome, "ppo")
 
 
 def test_training_is_deterministic(program_pool, sim_cohorts, fact_retriever):
