@@ -15,7 +15,8 @@ from typing import Iterator
 from urllib.parse import urlsplit
 
 from . import __version__
-from .data_model import CohortInstance, SchemaError, load_cohorts, read_jsonl, validate_cohort
+from .data_model import (NUMBER, CohortInstance, SchemaError, check_keys, load_cohorts,
+                         read_jsonl, validate_cohort)
 from .dsl import ParseError, check_program, parse_program
 from .evaluation import EvalCriterion, evaluate, rejection_stats
 from .retriever import (
@@ -103,40 +104,24 @@ def _retriever_config_json(args) -> dict:
     return config
 
 
-_NUMBER = (int, float)
-_NOUNS = {int: "an integer", str: "a string", _NUMBER: "a number"}
-
-
-def _typed(value, kind, where: str, field_path: str = "") -> None:
-    """Raise a SchemaError unless `value` is a `kind`; a bool is no number."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(f"{where} must be {_NOUNS[kind]}, not {value!r}", field_path)
-
-
-def _typed_keys(record: dict, types: dict) -> dict:
-    """`record`, each key of `types` checked to hold a value of that type."""
-    for key, kind in types.items():
-        _typed(record[key], kind, key, key)
-    return record
-
-
 _BATCH_TYPES = {"cohort_id": str, "sample_index": int, "source": str}
 _OUTCOME_TYPES = {"n_correct": int, "n_calls": int, "n_rejected": int}
+_TRACE_TYPES = {"q": str, "outcome": str}  # a retrieve event
 
 
 def _read_batch(path: str) -> Iterator[dict]:
-    """The records of a program batch, each line's keys checked for type; a
-    repeated (cohort_id, sample_index) is a SchemaError."""
+    """The records of a program batch; a repeated (cohort_id, sample_index)
+    is a SchemaError."""
     first_lines: dict[tuple[str, int], int] = {}
 
     def record(obj: dict, line: int) -> dict:
-        tag = (_typed_keys(obj, _BATCH_TYPES)["cohort_id"], obj["sample_index"])
+        tag = (obj["cohort_id"], obj["sample_index"])
         first = first_lines.setdefault(tag, line)
         if first != line:
             raise SchemaError(f"sample {tag[0]}#{tag[1]} repeats line {first}")
         return obj
 
-    return read_jsonl(path, record, tuple(_BATCH_TYPES))
+    return read_jsonl(path, record, _BATCH_TYPES)
 
 
 def _read_text(path: str) -> str:
@@ -307,7 +292,6 @@ def _rejection_table(rejection: dict) -> str:
 
 
 def _reward_record(obj: dict, line: int) -> dict:
-    _typed_keys(obj, _OUTCOME_TYPES)
     summary = CohortExecutionSummary(obj["n_correct"], obj["n_calls"], obj["n_rejected"])
     breakdown = cohort_reward(summary, variant=obj.get("variant", "normal"))
     return {
@@ -322,7 +306,7 @@ def _reward_record(obj: dict, line: int) -> dict:
 
 def cmd_reward(args, parser) -> int:
     text = "".join(_dump(record) + "\n" for record in read_jsonl(
-        args.outcomes, _reward_record, tuple(_OUTCOME_TYPES)))
+        args.outcomes, _reward_record, _OUTCOME_TYPES))
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -352,12 +336,11 @@ def cmd_sim(args, parser) -> int:
     retriever = MockRetriever(FactTable.from_jsonl(args.facts))
 
     def candidate(obj: dict, line: int) -> tuple:
-        _typed(obj["source"], str, "source", "source")
         if "name" in obj:
-            _typed(obj["name"], str, "name", "name")
+            check_keys(obj, {"name": str})
         return line, obj, parse_program(obj["source"], first.function_header)
 
-    candidates = list(read_jsonl(args.pool, candidate, ("source",)))
+    candidates = list(read_jsonl(args.pool, candidate, {"source": str}))
     if not candidates:
         raise SchemaError("no candidate programs", path=args.pool)
     lines: dict[str, int] = {}  # candidate name -> its line, in pool order
@@ -444,12 +427,8 @@ def cmd_stats(args, parser) -> int:
     def label(question: str) -> str:
         return label_map.get(normalize_question(question), args.default_category)
 
-    def retrieve_event(event: dict, line: int) -> dict:
-        if not (isinstance(event.get("q"), str) and isinstance(event.get("outcome"), str)):
-            raise SchemaError("not a retrieve event")
-        return event
-
-    events = [event for path in args.traces for event in read_jsonl(path, retrieve_event)]
+    events = [event for path in args.traces
+              for event in read_jsonl(path, lambda event, line: event, _TRACE_TYPES)]
     try:
         data = rejection_stats(events, label)
     except ValueError as exc:
@@ -464,48 +443,32 @@ def cmd_stats(args, parser) -> int:
 
 
 # what `report` reads of a report; "*" stands for every key of an object
-_ACCURACY_STATS = {"pass_rate": _NUMBER, "ci_halfwidth": _NUMBER, "n": int}
-_REPORT_SHAPES = {
+_ACCURACY_STATS = {"pass_rate": NUMBER, "ci_halfwidth": NUMBER, "n": int}
+_REPORT_TYPES = {
+    "config": {"criterion": str},
     "accuracy": {"per_domain": {"*": _ACCURACY_STATS}, "overall": _ACCURACY_STATS},
-    "rejection": {"per_category": {"*": {"rate": _NUMBER}}, "overall": {"rate": _NUMBER}},
+    "rejection": {"per_category": {"*": {"rate": NUMBER}}, "overall": {"rate": NUMBER}},
 }
-
-
-def _check_shape(value, shape, where: str) -> None:
-    """Raise a SchemaError naming the first key of `value` that `shape` does not allow."""
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            raise SchemaError(f"{where} must be an object, not {value!r}")
-        for key, inner in shape.items():
-            if key == "*":
-                for name, item in value.items():
-                    _check_shape(item, inner, f"{where}.{name}")
-            elif key not in value:
-                raise SchemaError(f"{where} has no key {key!r}")
-            else:
-                _check_shape(value[key], inner, f"{where}.{key}")
-    else:
-        _typed(value, shape, where)
 
 
 def cmd_report(args, parser) -> int:
     for path in args.inputs:
         data = _read_json_object(path)
+        # a report may leave out its config and the criterion, and leave out
+        # either table or set it to null
         config = data.get("config", {})
+        shown = {"config": {"criterion": "accuracy", **config} if type(config) is dict else config}
+        shown.update((key, data[key]) for key in ("accuracy", "rejection")
+                     if data.get(key) is not None)
         try:
-            _check_shape(config, {}, "config")
-            criterion = config.get("criterion", "accuracy")
-            _check_shape(criterion, str, "config.criterion")
-            for key, shape in _REPORT_SHAPES.items():
-                if data.get(key) is not None:
-                    _check_shape(data[key], shape, key)
+            check_keys(shown, {key: _REPORT_TYPES[key] for key in shown})
         except SchemaError as exc:
-            raise SchemaError(exc.message, path=path) from None
+            raise SchemaError(exc.message, exc.field_path, path=path) from None
         print(f"== {path} ==")
-        if data.get("accuracy") is not None:
-            print(_accuracy_table(data["accuracy"], criterion))
-        if data.get("rejection") is not None:
-            print(_rejection_table(data["rejection"]))
+        if "accuracy" in shown:
+            print(_accuracy_table(shown["accuracy"], shown["config"]["criterion"]))
+        if "rejection" in shown:
+            print(_rejection_table(shown["rejection"]))
     return EXIT_OK
 
 

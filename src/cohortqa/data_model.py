@@ -43,36 +43,68 @@ class SchemaError(ValueError):
         super().__init__(f"{prefix}{message}{suffix}")
 
 
+NUMBER = (int, float)  # a bool is no number
+_NOUNS = {str: "a string", int: "an integer", NUMBER: "a number", list: "a list", dict: "an object"}
+
+
+def check_keys(record, types: Mapping[str, object], where: str = "") -> dict:
+    """`record`, after checking that it is an object and that each key of
+    `types` is in it and holds a value of that key's type.
+
+    A type is `str`, `int`, `NUMBER`, `list`, `dict`, or `object` for any
+    value; a bool is no number. A dict of types gives the shape of an inner
+    object, and its key "*" stands for every key. `where` is the field path
+    of `record`; a SchemaError names the path of the key that fails.
+    """
+    if type(record) is not dict:
+        raise SchemaError(f"{where} must be an object, not {record!r}" if where
+                          else "not a JSON object", where)
+    for key, kind in types.items():
+        if key == "*":
+            for name, value in record.items():
+                _check_value(value, kind, where, name)
+        elif key not in record:
+            raise SchemaError(f"missing key {key!r}", f"{where}.{key}" if where else key)
+        # a decoded JSON value is of its exact class, which is the common case;
+        # the path of a key is built only past this test, as it costs the loaders time
+        elif kind is not object and record[key].__class__ is not kind:
+            _check_value(record[key], kind, where, key)
+    return record
+
+
+def _check_value(value, kind, where: str, key: str) -> None:
+    path = f"{where}.{key}" if where else key
+    if type(kind) is dict:
+        check_keys(value, kind, path)
+    elif kind is not object and (value.__class__ is bool or not isinstance(value, kind)):
+        raise SchemaError(f"{path} must be {_NOUNS[kind]}, not {value!r}", path)
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
-               required: tuple[str, ...] = ()) -> Iterator[T]:
+               types: Mapping[str, object] = {}) -> Iterator[T]:
     """Yield `parse(record, line)` for each JSON object line of a file.
 
     Lines end at "\n", as JSON Lines has them. Blank lines are skipped. A
-    line that is not UTF-8, malformed JSON, a line that is not an object, a
-    missing `required` key, and a ValueError or TypeError from `parse` each
-    become a SchemaError that names the file and the line.
+    line that is not UTF-8 or not JSON, a record that fails `check_keys`
+    against `types`, and a ValueError or TypeError from `parse` each become
+    a SchemaError that names the file and the line.
     """
     with open(path, "rb") as handle:
         for line, encoded in enumerate(handle, start=1):
             try:
                 raw = encoded.decode()
-                if not raw.strip():
-                    continue
                 # a line that starts with its value and ends in JSON whitespace
                 # decodes in one scan; decode words the error for any other
                 try:
                     record, end = _scan_once(raw, 0)
                 except StopIteration:
+                    if not raw.strip():  # blank: only here, so no other line pays
+                        continue
                     record = _decode(raw)
                 else:
                     if raw[end:].strip(_JSON_SPACE):
                         record = _decode(raw)
-                if type(record) is not dict:
-                    raise SchemaError("not a JSON object")
-                for key in required:
-                    if key not in record:
-                        raise SchemaError(f"missing key {key!r}", key)
-                item = parse(record, line)
+                item = parse(check_keys(record, types), line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"malformed JSON: {exc.msg}", line=line, path=path) from exc
             except SchemaError as exc:
@@ -206,38 +238,27 @@ def _gold_to_index(gold, options: tuple[str, ...], field_path: str) -> int:
     return index
 
 
-def _parse_member(obj: dict, options: tuple[str, ...], field_path: str) -> QuestionVariant:
-    if not isinstance(obj, dict):
-        raise SchemaError("member must be an object", field_path)
-    for key in ("bindings", "question", "gold"):
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}", f"{field_path}.{key}")
-    bindings = obj["bindings"]
-    if not isinstance(bindings, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in bindings.items()
-    ):
+_MEMBER_TYPES = {"bindings": dict, "question": str, "gold": object}
+_COHORT_TYPES = {"cohort_id": str, "domain": object, "masked_question": str, "parameters": list,
+                 "options": list, "function_header": str, "original": object, "variants": list}
+
+
+def _parse_member(obj, options: tuple[str, ...], field_path: str) -> QuestionVariant:
+    bindings = check_keys(obj, _MEMBER_TYPES, field_path)["bindings"]
+    if not all(isinstance(v, str) for v in bindings.values()):
         raise SchemaError("bindings must map strings to strings", f"{field_path}.bindings")
-    if not isinstance(obj["question"], str):
-        raise SchemaError("question must be a string", f"{field_path}.question")
     gold = _gold_to_index(obj["gold"], options, f"{field_path}.gold")
     return QuestionVariant(bindings=dict(bindings), question_text=obj["question"], gold_index=gold)
 
 
 def parse_cohort(obj: dict) -> CohortInstance:
     """Build one CohortInstance from a decoded JSONL record."""
-    required = ("cohort_id", "domain", "masked_question", "parameters", "options",
-                "function_header", "original", "variants")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}", key)
-    for key in ("cohort_id", "masked_question", "function_header"):
-        if not isinstance(obj[key], str):
-            raise SchemaError(f"{key} must be a string, not {obj[key]!r}", key)
+    check_keys(obj, _COHORT_TYPES)
     options = obj["options"]
-    if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+    if not all(isinstance(o, str) for o in options):
         raise SchemaError("options must be a list of strings", "options")
     parameters = obj["parameters"]
-    if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
+    if not all(isinstance(p, str) for p in parameters):
         raise SchemaError("parameters must be a list of strings", "parameters")
     domain = obj["domain"]
     if domain not in KNOWN_DOMAINS:
@@ -250,14 +271,9 @@ def parse_cohort(obj: dict) -> CohortInstance:
         domain_tag=domain,
     )
     original = _parse_member(obj["original"], template.options, "original")
-    raw_variants = obj["variants"]
-    if not isinstance(raw_variants, list):
-        raise SchemaError("variants must be a list", "variants")
-    if len(raw_variants) != NUM_VARIANTS:
-        raise SchemaError(f"expected {NUM_VARIANTS} variants, got {len(raw_variants)}", "variants")
     variants = tuple(
         _parse_member(v, template.options, f"variants[{i}]")
-        for i, v in enumerate(raw_variants)
+        for i, v in enumerate(obj["variants"])
     )
     return CohortInstance(
         cohort_id=obj["cohort_id"], template=template, original=original, variants=variants

@@ -132,7 +132,7 @@ class FactTable:
         with another kind, value or JSON type is a SchemaError."""
         first_lines: dict[str, int] = {}  # normalized question -> its first line
         table: dict[str, FactEntry] = {}
-        for line, question, key, entry in read_jsonl(path, _fact, _FACT_KEYS):
+        for line, question, key, entry in read_jsonl(path, _fact, _FACT_TYPES):
             first_line = first_lines.setdefault(key, line)
             if first_line != line:
                 kept = table[key]
@@ -144,7 +144,7 @@ class FactTable:
         return cls(table)
 
 
-_FACT_KEYS = ("q", "kind", "value")
+_FACT_TYPES = {"q": str, "kind": object, "value": object}
 
 
 def _described(entry: FactEntry) -> str:
@@ -167,8 +167,6 @@ def _fact(record: dict, line: int) -> tuple[int, str, str, FactEntry]:
         kind = KINDS[name]
     except (KeyError, TypeError):  # not a kind name: the enum words the error
         kind = ValueKind(name)
-    if not isinstance(question, str):
-        raise SchemaError("q must be a string", "q")
     if not _value_conforms(kind, value):
         raise SchemaError(f"value {value!r} does not conform to kind {kind.value}", "value")
     return line, question, normalize_question(question), FactEntry(kind, value)
@@ -342,6 +340,8 @@ def parse_llm_reply(raw: str, kind: ValueKind) -> RetrieveResponse:
         obj = json.loads(blocks[-1])
     except json.JSONDecodeError as exc:
         return RetrieveResponse(OUTCOME_ERROR, None, f"bad json in fenced block: {exc.msg}")
+    except ValueError as exc:  # an int longer than sys.get_int_max_str_digits() allows
+        return RetrieveResponse(OUTCOME_ERROR, None, f"bad json in fenced block: {exc}")
     if not isinstance(obj, dict) or set(obj) != {"answer"}:
         return RetrieveResponse(
             OUTCOME_ERROR, None, 'reply must be an object with the single key "answer"')

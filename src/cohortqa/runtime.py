@@ -365,11 +365,6 @@ def execute(
             text = bindings[name]
             interp.env[name] = text if kind is ValueKind.STR else _coerce_binding(kind, text)
         returned = interp.exec_body(program.body)
-    except _RuntimeFailure as exc:
-        reason = exc.reason
-    except _LimitExceeded as exc:
-        status, which = STATUS_LIMIT, exc.which
-    else:
         value = interp.returned
         if not returned:
             reason = "control flow ended without return"
@@ -378,5 +373,15 @@ def execute(
         elif value < 0:
             reason = f"negative answer index {value}"
         else:
+            str(value)  # an answer past the limit below could not be written out
             status, answer = STATUS_ANSWERED, value
+    except _RuntimeFailure as exc:
+        reason = exc.reason
+    except _LimitExceeded as exc:
+        status, which = STATUS_LIMIT, exc.which
+    except ValueError as exc:
+        # a retriever reports its failures as outcomes, so a run's one
+        # ValueError is an int longer than sys.get_int_max_str_digits()
+        # allows, written as text: in a question, a failure reason or the answer
+        reason = f"an int too long to write as text: {exc}"
     return ExecutionResult(status, answer, reason, which, interp.was_rejected, tuple(interp.trace))

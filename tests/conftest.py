@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def int_digits_640():
+    """Python's limit on the digits of an int written as text or read from
+    it, at its least, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

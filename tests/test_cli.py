@@ -59,17 +59,18 @@ def _set(path, value):
 
 
 @pytest.mark.parametrize("edit, message, field", [
-    (_set(["options"], "No, Yes"), "options must be a list of strings", "options"),
+    (_set(["options"], "No, Yes"), "options must be a list, not 'No, Yes'", "options"),
     (_set(["options", 1], 1), "options must be a list of strings", "options"),
     (_set(["parameters"], [1, 2, 3, 4]), "parameters must be a list of strings", "parameters"),
-    (_set(["variants"], {}), "variants must be a list", "variants"),
+    (_set(["variants"], {}), "variants must be a list, not {}", "variants"),
     (lambda record: record["variants"].pop(), "expected 5 variants, got 4", "variants"),
-    (_set(["original"], []), "member must be an object", "original"),
+    (_set(["original"], []), "original must be an object, not []", "original"),
     (lambda record: record["original"].pop("question"),
      "missing key 'question'", "original.question"),
     (_set(["variants", 1, "bindings", "Country"], 1),
      "bindings must map strings to strings", "variants[1].bindings"),
-    (_set(["original", "question"], None), "question must be a string", "original.question"),
+    (_set(["original", "question"], None), "original.question must be a string, not None",
+     "original.question"),
     (_set(["original", "gold"], "Yes"), "unrecognized gold answer 'Yes'", "original.gold"),
     (lambda record: record["parameters"].append("Film1"),
      "duplicate parameter names", "parameters"),
@@ -356,7 +357,7 @@ def test_stats_on_exec_output_names_the_result_line(tmp_path, capsys):
     code, out, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
     assert out == ""
-    assert err == f"stats: {traces}: line {len(lines)}: not a retrieve event\n"
+    assert err == f"stats: {traces}: line {len(lines)}: missing key 'q' (at q)\n"
 
     # the retrieve events alone are read as they are
     traces.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
@@ -370,17 +371,20 @@ def test_stats_rejects_line_without_outcome(tmp_path, capsys):
     traces.write_text('\n{"q": "Is Amy a documentary film?"}\n', encoding="utf-8")
     code, _, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
-    assert err == f"stats: {traces}: line 2: not a retrieve event\n"
+    assert err == f"stats: {traces}: line 2: missing key 'outcome' (at outcome)\n"
 
 
-@pytest.mark.parametrize("event", [{"q": ["Is Amy a documentary film?"], "outcome": "value"},
-                                   {"q": "Is Amy a documentary film?", "outcome": 1}])
-def test_stats_rejects_a_question_or_outcome_that_is_not_text(event, tmp_path, capsys):
+@pytest.mark.parametrize("event, problem", [
+    ({"q": ["Is Amy a documentary film?"], "outcome": "value"},
+     "q must be a string, not ['Is Amy a documentary film?'] (at q)"),
+    ({"q": "Is Amy a documentary film?", "outcome": 1}, "outcome must be a string, not 1 (at outcome)"),
+])
+def test_stats_rejects_a_question_or_outcome_that_is_not_text(event, problem, tmp_path, capsys):
     traces = tmp_path / "trace.jsonl"
     traces.write_text(json.dumps(event) + "\n", encoding="utf-8")
     code, _, err = run(capsys, "stats", "--traces", str(traces))
     assert code == 1
-    assert err == f"stats: {traces}: line 1: not a retrieve event\n"
+    assert err == f"stats: {traces}: line 1: {problem}\n"
 
 
 def test_report_renders_eval_json(tmp_path, capsys):
@@ -595,9 +599,8 @@ _JSONL_INPUTS = {
     "traces": (lambda path: ["stats", "--traces", path],
                '{"q": "Is Amy a documentary film?", "outcome": "value"}'),
 }
-# stats has no missing-key case: its own message for that is pinned above
 _REQUIRED_KEY = {"cohorts": "options", "facts": "q", "programs": "source", "pool": "source",
-                 "outcomes": "n_correct"}
+                 "outcomes": "n_correct", "traces": "q"}
 
 
 def _without(line: str, key: str) -> str:
@@ -649,6 +652,71 @@ def test_bad_jsonl_line_names_file_and_line(name, case, bad_line, tmp_path, caps
     code, _, err = run(capsys, *argv)  # an exception escaping main would be a traceback
     assert code == 1
     assert err.startswith(f"{argv[0]}: {path}: line 3: ")
+
+
+_DROP = object()
+
+
+def _edited(line: str, keys: list, value) -> str:
+    """`line` with the item at `keys` (keys and indexes) set to `value`, or
+    dropped if `value` is _DROP."""
+    record = json.loads(line)
+    *parents, last = keys
+    inner = record
+    for key in parents:
+        inner = inner[key]
+    if value is _DROP:
+        del inner[last]
+    else:
+        inner[last] = value
+    return json.dumps(record)
+
+
+_STATS = {"pass_rate": 0.5, "ci_halfwidth": 0.1, "n": 4}
+_KEYED_INPUTS = dict(_JSONL_INPUTS, report=(
+    lambda path: ["report", path],
+    json.dumps({"accuracy": {"per_domain": {"film": _STATS}, "overall": _STATS}})))
+
+# (input, keys of the item edited in its valid line, the value set there or
+# _DROP, the error after the file name)
+_KEY_CHECKS = [
+    ("cohorts", ["options"], _DROP, "line 1: missing key 'options' (at options)"),
+    ("cohorts", ["masked_question"], 5,
+     "line 1: masked_question must be a string, not 5 (at masked_question)"),
+    ("cohorts", ["original", "gold"], _DROP, "line 1: missing key 'gold' (at original.gold)"),
+    ("cohorts", ["variants", 3, "question"], ["Q"],
+     "line 1: variants[3].question must be a string, not ['Q'] (at variants[3].question)"),
+    ("facts", ["value"], _DROP, "line 1: missing key 'value' (at value)"),
+    ("facts", ["q"], 5, "line 1: q must be a string, not 5 (at q)"),
+    ("programs", ["cohort_id"], _DROP, "line 1: missing key 'cohort_id' (at cohort_id)"),
+    ("programs", ["sample_index"], 1.0,
+     "line 1: sample_index must be an integer, not 1.0 (at sample_index)"),
+    ("outcomes", ["n_calls"], _DROP, "line 1: missing key 'n_calls' (at n_calls)"),
+    ("outcomes", ["n_rejected"], "0", "line 1: n_rejected must be an integer, not '0' (at n_rejected)"),
+    ("pool", ["source"], _DROP, "line 1: missing key 'source' (at source)"),
+    ("pool", ["source"], 5, "line 1: source must be a string, not 5 (at source)"),
+    ("pool", ["name"], ["a"], "line 1: name must be a string, not ['a'] (at name)"),  # optional
+    ("traces", ["outcome"], _DROP, "line 1: missing key 'outcome' (at outcome)"),
+    ("traces", ["outcome"], True, "line 1: outcome must be a string, not True (at outcome)"),
+    ("report", ["accuracy", "per_domain", "film", "ci_halfwidth"], _DROP,
+     "missing key 'ci_halfwidth' (at accuracy.per_domain.film.ci_halfwidth)"),
+    ("report", ["accuracy", "overall", "n"], True,
+     "accuracy.overall.n must be an integer, not True (at accuracy.overall.n)"),
+]
+
+
+@pytest.mark.parametrize("name, keys, value, error", _KEY_CHECKS,
+                         ids=[f"{name}-{'.'.join(map(str, keys))}-{'missing' if value is _DROP else 'type'}"
+                              for name, keys, value, _ in _KEY_CHECKS])
+def test_each_input_names_a_missing_key_or_a_wrong_type_by_its_path(name, keys, value, error,
+                                                                    tmp_path, capsys):
+    argv_for, valid = _KEYED_INPUTS[name]
+    path = tmp_path / name
+    path.write_text(_edited(valid, keys, value) + "\n", encoding="utf-8")
+    argv = argv_for(str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"{argv[0]}: {path}: {error}\n"
 
 
 @pytest.mark.parametrize("name", _JSONL_INPUTS)
@@ -850,25 +918,26 @@ def test_report_on_a_json_list(tmp_path, capsys):
     assert err == f"report: {path}: not a JSON object\n"
 
 
-@pytest.mark.parametrize("report, problem", [
-    ({"accuracy": {"overall": {}}}, "accuracy has no key 'per_domain'"),
+@pytest.mark.parametrize("report, problem, field", [
+    ({"accuracy": {"overall": {}}}, "missing key 'per_domain'", "accuracy.per_domain"),
     ({"accuracy": {"per_domain": {}, "overall": {"pass_rate": 1.0, "n": 3}}},
-     "accuracy.overall has no key 'ci_halfwidth'"),
+     "missing key 'ci_halfwidth'", "accuracy.overall.ci_halfwidth"),
     ({"accuracy": {"per_domain": {"film": []}, "overall": {}}},
-     "accuracy.per_domain.film must be an object, not []"),
-    ({"rejection": {"per_category": 3}}, "rejection.per_category must be an object, not 3"),
+     "accuracy.per_domain.film must be an object, not []", "accuracy.per_domain.film"),
+    ({"rejection": {"per_category": 3}}, "rejection.per_category must be an object, not 3",
+     "rejection.per_category"),
     ({"rejection": {"per_category": {}, "overall": {"rate": "0.5"}}},
-     "rejection.overall.rate must be a number, not '0.5'"),
-    ({"config": [], "rejection": None}, "config must be an object, not []"),
-    ({"config": {"criterion": 1}}, "config.criterion must be a string, not 1"),
+     "rejection.overall.rate must be a number, not '0.5'", "rejection.overall.rate"),
+    ({"config": [], "rejection": None}, "config must be an object, not []", "config"),
+    ({"config": {"criterion": 1}}, "config.criterion must be a string, not 1", "config.criterion"),
 ])
-def test_report_on_a_malformed_report_names_the_key(report, problem, tmp_path, capsys):
+def test_report_on_a_malformed_report_names_the_key(report, problem, field, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "report", str(path))
     assert code == 1
     assert out == ""
-    assert err == f"report: {path}: {problem}\n"
+    assert err == f"report: {path}: {problem} (at {field})\n"
 
 
 # each command that loads cohorts, with its other inputs

@@ -292,7 +292,7 @@ def test_read_jsonl_errors_name_file_and_line(tmp_path, text, message):
         return record["a"]
 
     with pytest.raises(SchemaError) as excinfo:
-        list(read_jsonl(path, parse, required=("a",)))
+        list(read_jsonl(path, parse, types={"a": int}))
     assert excinfo.value.line == 2
     assert str(excinfo.value).startswith(f"{path}: line 2: {message}")
 

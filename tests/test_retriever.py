@@ -306,6 +306,16 @@ def _reply(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
+def test_an_answer_past_the_int_digit_limit_is_an_error_outcome(int_digits_640):
+    reply = '```json\n{"answer": %s}\n```' % ("7" * 641)
+    response = parse_llm_reply(reply, ValueKind.INT)
+    assert response.outcome == OUTCOME_ERROR
+    assert response.reason.startswith("bad json in fenced block: Exceeds the limit (640 digits)")
+    session = _FakeSession([_response(200, _reply(reply))])
+    retr = RemoteRetriever(RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever"), session=session)
+    assert retr.retrieve(RetrieveRequest("How many?", ValueKind.INT)) == response
+
+
 def test_remote_retriever_happy_path():
     session = _FakeSession([_response(200, _reply('```json\n{"answer": 8}\n```'))])
     retr = RemoteRetriever(RemoteRetrieverConfig(endpoint="http://x/v1", model="retriever"), session=session)

@@ -111,6 +111,24 @@ def test_question_rendering_uses_runtime_values():
     assert result.trace[1].rendered_question == "Is Livia, Julia a pair?"
 
 
+# x doubled 2400 times, to 723 digits
+_DOUBLED = f"x = 1\nfor a in {list(range(40))}:\n    for b in {list(range(60))}:\n        x = x + x\n"
+
+
+@pytest.mark.parametrize("tail", [
+    'q = retrieve(f"Is {x} big?", bool)\nreturn 0',  # in a question
+    "return x",  # as the answer
+    "if x:\n    return 1\nreturn 0",  # in the reason that x is not a bool
+])
+def test_an_int_past_the_digit_limit_written_as_text_is_a_runtime_failure(tail, int_digits_640):
+    result = execute(prog(_DOUBLED + tail), {"X": "a", "Y": "b"}, EMPTY,
+                     ExecutionLimits(max_steps=20_000))
+    assert result.status == STATUS_FAILURE
+    assert result.failure_reason.startswith(
+        "an int too long to write as text: Exceeds the limit (640 digits)")
+    assert result.trace == ()
+
+
 def test_unbound_name_in_retrieve_question_fails_before_the_lookup():
     p = prog('if X == Y:\n    v = "a"\nq = retrieve(f"Is {v} ok?", bool)\nreturn 0')
     result = execute(p, {"X": "a", "Y": "b"}, EMPTY)
